@@ -270,15 +270,11 @@ def _run_coincidence(block: dict, out_dir: Path, seed: int | None) -> None:
     field = heralded_field(
         config.times, config.herald_time, config.pdc, config.field_grid, config.method
     )
-    traj = evolve_heralded(config.molecule, field)
-    mu = config.molecule.dipoles
-    raw = np.einsum("a,tab,b->t", mu, traj.matrices, mu)
-    scale = float(np.max(np.abs(raw.real)))
+    signal = coincidence_signal(config.molecule, evolve_heralded(config.molecule, field))
+    scale = float(np.max(np.abs(signal)))
     if not np.isfinite(scale) or scale <= 0:
         raise NumericalError("coincidence: signal is zero or non-finite, cannot normalize")
-    if np.max(np.abs(raw.imag)) > 1e-10 * scale:
-        raise NumericalError("coincidence: signal has a non-negligible imaginary part")
-    signal = coincidence_signal(config.molecule, traj) / scale
+    signal = signal / scale
     _check_finite("coincidence", signal)
     header = metadata_lines(__version__, "coincidence", block, seed)
     rows = np.column_stack([config.times.points, signal])

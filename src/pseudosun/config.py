@@ -4,9 +4,10 @@ A config file holds one top-level block per command, e.g.
 
     {"spectrum": {"grid": {...}, "pdc": {...}, "thermal": {...}}}
 
-so a single file can drive several commands. Parsing is strict: unknown keys
-are rejected anywhere, missing keys are reported with their full path, and
-all domain invariants are enforced before any computation starts.
+so a single file can drive several commands. Parsing is strict: duplicate
+and unknown keys are rejected anywhere, so are the non-standard literals
+NaN, Infinity and -Infinity, missing keys are reported with their full
+path, and all domain invariants are enforced before any computation starts.
 """
 
 from __future__ import annotations
@@ -32,15 +33,53 @@ def example_config(name: str) -> Path:
     return Path(str(path))
 
 
+class _NonFinite:
+    """Placeholder the JSON reader puts where a file has NaN, Infinity or -Infinity."""
+
+    def __init__(self, literal: str):
+        self.literal = literal
+
+
+def _unique_keys(pairs: list) -> dict:
+    block = {}
+    for key, value in pairs:
+        if key in block:
+            raise ValidationError(f"duplicate key '{key}'")
+        block[key] = value
+    return block
+
+
+def _non_finite_error(value, where: str) -> str | None:
+    """Message naming the path of the first non-finite literal in a parsed config."""
+    if isinstance(value, _NonFinite):
+        return f"{where}: non-finite number {value.literal} is not allowed"
+    if isinstance(value, dict):
+        children = ((f"{where}.{key}" if where else key, v) for key, v in value.items())
+    elif isinstance(value, list):
+        children = ((f"{where}[{k}]", v) for k, v in enumerate(value))
+    else:
+        return None
+    for child_where, child in children:
+        error = _non_finite_error(child, child_where)
+        if error:
+            return error
+    return None
+
+
 def load_config(path) -> dict:
     """Load a config file and check its top-level keys are command names."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path}: invalid JSON ({exc})")
+    except ValidationError as exc:
+        raise ValidationError(f"config {path}: {exc}")
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path}: top level must be an object")
+    error = _non_finite_error(raw, "")
+    if error:
+        raise ValidationError(f"config {path}: {error}")
     for key in raw:
         if key not in COMMANDS:
             raise ValidationError(f"config {path}: unknown top-level key '{key}'")
@@ -327,6 +366,10 @@ def parse_heralded(block: dict) -> HeraldedConfig:
         herald_times = tuple(_as_float(t) for t in raw_times)
     except ValidationError as exc:
         raise ValidationError(f"heralded.herald_times: {exc}")
+    if len(set(herald_times)) != len(herald_times):
+        raise ValidationError(
+            f"heralded.herald_times: duplicate herald times in {list(herald_times)}"
+        )
     field_grid_block = reader.sub("field_grid", required=False)
     config = HeraldedConfig(
         molecule=_molecule(reader.sub("molecule")),

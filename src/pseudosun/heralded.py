@@ -24,7 +24,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import NormalizationError, ValidationError
+from .errors import NormalizationError, NumericalError, ValidationError
 from .numerics import (
     C_CM_PER_FS,
     FrequencyGrid,
@@ -299,8 +299,12 @@ def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> n
     """Two-photon coincidence observable: the dipole quadratic form of the trajectory.
 
     Real by Hermiticity (constant prefactors are left to output
-    normalization); the imaginary residue is discarded here and checked in
-    the test suite.
+    normalization), so the real part is returned. Raises NumericalError when
+    the imaginary residue exceeds 1e-10 times the largest |real part|, which
+    means the trajectory is not Hermitian.
     """
     mu = mol.dipoles
-    return np.einsum("a,tab,b->t", mu, trajectory.matrices, mu).real
+    raw = np.einsum("a,tab,b->t", mu, trajectory.matrices, mu)
+    if np.max(np.abs(raw.imag)) > 1e-10 * np.max(np.abs(raw.real)):
+        raise NumericalError("coincidence: signal has a non-negligible imaginary part")
+    return raw.real

@@ -4,7 +4,8 @@ Every CSV starts with '#'-prefixed metadata lines carrying the tool version,
 the command, the SHA-256 of the exact (canonicalized) config block, and the
 seed, followed by a plain header row and RFC-4180-style rows with 17
 significant digits. Files are written atomically (temp file then rename) so
-a crashed run never leaves a truncated output behind.
+a crashed run never leaves a truncated output behind, with the permissions
+the process umask gives a newly created file.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ def format_value(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: Path, text: str) -> None:
     path = Path(path)
     try:
@@ -46,6 +53,8 @@ def _write_atomic(path: Path, text: str) -> None:
         try:
             with handle:
                 handle.write(text)
+            # The temp file is created 0600 and the rename keeps that mode.
+            os.chmod(handle.name, 0o666 & ~_umask())
             os.replace(handle.name, path)
         except OSError:
             os.unlink(handle.name)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -133,6 +134,70 @@ class TestConfigValidation:
     def test_seed_must_be_u64(self, tmp_path):
         config = str(example_config("fig1"))
         assert main(["spectrum", "--config", config, "--out", str(tmp_path), "--seed", "-1"]) == 2
+
+
+class TestBoundaryRejection:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_rejected(self, tmp_path, capsys, literal):
+        block = {
+            "molecule": SMALL_MOL,
+            "pdc": SMALL_PDC,
+            "herald_times": [10.0],
+            "method": "rect_approx",
+            "times": {"min": 0.0, "max": 20.0, "count": 101},
+            "average": {"samples": 4, "pad": "PAD"},
+        }
+        path = tmp_path / "her.json"
+        path.write_text(json.dumps({"heralded": block}).replace('"PAD"', literal))
+        assert main(["heralded", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "heralded.average.pad" in err and literal in err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_in_list_rejected(self, tmp_path, capsys):
+        path = tmp_path / "her.json"
+        block = {"herald_times": [10.0, "T"], "molecule": SMALL_MOL}
+        path.write_text(json.dumps({"heralded": block}).replace('"T"', "NaN"))
+        assert main(["heralded", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "heralded.herald_times[1]" in capsys.readouterr().err
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"spectrum": {"grid": {"min": 1000.0, "max": 2000.0, "count": 4, "count": 8},'
+            ' "pdc": {}, "thermal": {}}}'
+        )
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "duplicate key 'count'" in err
+
+    def test_duplicate_herald_times_rejected(self, tmp_path, capsys):
+        block = {
+            "molecule": SMALL_MOL,
+            "pdc": SMALL_PDC,
+            "herald_times": [50.0, 50],
+            "method": "rect_approx",
+            "times": {"min": 0.0, "max": 100.0, "count": 101},
+        }
+        config = write_config(tmp_path / "her.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 2
+        assert "heralded.herald_times" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_output_mode_follows_umask(tmp_path, umask, mode):
+    out = tmp_path / "run"
+    previous = os.umask(umask)
+    try:
+        code = main(["spectrum", "--config", str(example_config("fig1")), "--out", str(out)])
+    finally:
+        os.umask(previous)
+    assert code == 0
+    written = sorted(out.iterdir())
+    assert [p.name for p in written] == ["fig1_spectrum.csv", "fig1_spectrum.gp"]
+    assert all(p.stat().st_mode & 0o777 == mode for p in written)
 
 
 class TestDynamicsCommand:

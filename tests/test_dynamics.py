@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pseudosun as ps
+from pseudosun.dynamics import _ANCHOR_STEPS, _amplitude_weight, _window_kernel
 from pseudosun.numerics import C_CM_PER_FS, angular_frequency
 
 from conftest import (
@@ -21,12 +22,36 @@ def small_spectrum(count=161):
     return ps.mean_photon_number(ps.FrequencyGrid(15000.0, 21000.0, count), REF_PDC)
 
 
+def evolve_by_direct_kernel(mol, spectrum, times, amplitude_ref):
+    """Reference trajectory with the window kernel evaluated directly at every time."""
+    weight = _amplitude_weight(spectrum, amplitude_ref)
+    level_ang = angular_frequency(mol.energies)
+    theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
+    mu_outer = np.outer(mol.dipoles, mol.dipoles)
+    matrices = np.empty((times.count, mol.size, mol.size), dtype=complex)
+    for k, t in enumerate(times.points):
+        kernel = _window_kernel(theta, t)
+        overlap = (kernel * weight) @ kernel.conj().T
+        phase = np.exp(-1j * (level_ang[:, None] - level_ang[None, :]) * t)
+        matrices[k] = mu_outer * phase * overlap.conj()
+    return matrices
+
+
 class TestTypes:
     def test_molecule_validation(self):
         with pytest.raises(ps.ValidationError):
             ps.MolecularSystem(())
         with pytest.raises(ps.ValidationError):
             ps.MolecularSystem(((0.0, 1.0),))
+
+    @pytest.mark.parametrize("dipole", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_dipole_rejected(self, dipole):
+        with pytest.raises(ps.ValidationError, match="dipoles must be finite"):
+            ps.MolecularSystem(((18000.0, 1.0), (18500.0, dipole)))
+
+    def test_infinite_energy_rejected(self):
+        with pytest.raises(ps.ValidationError):
+            ps.MolecularSystem(((float("inf"), 1.0),))
 
     def test_trajectory_shape_validation(self):
         times = ps.TimeGrid(0.0, 1.0, 3)
@@ -144,6 +169,33 @@ class TestEvolveUnconditional:
             fig2_pdc_trajectory, ps.NormalizationMode.MAX_REPART_OFFDIAG
         )
         structural_checks(normalized)
+
+
+class TestRecurrenceKernel:
+    """The stepped window kernel against the direct form at every time."""
+
+    GRIDS = {
+        "long": (ps.TimeGrid(0.0, 2000.0, 20001), 101),
+        "late_start": (ps.TimeGrid(3.7, 61.3, 1201), 161),
+        "theta_zero": (ps.TimeGrid(0.0, 80.0, 801), 161),
+    }
+
+    def test_grids_cover_their_cases(self):
+        assert self.GRIDS["long"][0].count > 50 * _ANCHOR_STEPS
+        # 18000 cm^-1 is grid point 80 of 15000-21000 with 161 points
+        points = small_spectrum(self.GRIDS["theta_zero"][1]).grid.points
+        theta = angular_frequency(points) - angular_frequency(TWO_LEVEL.energies[0])
+        assert np.count_nonzero(theta == 0.0) == 1
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_matches_direct_kernel(self, name):
+        times, count = self.GRIDS[name]
+        spectrum = small_spectrum(count)
+        got = ps.evolve_unconditional(TWO_LEVEL, spectrum, times, AMP_REF).matrices
+        want = evolve_by_direct_kernel(TWO_LEVEL, spectrum, times, AMP_REF)
+        assert relative_frobenius(got, want) <= 1e-12
+        # exactly zero at turn-on, nowhere zero on a grid that starts later
+        assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
 
 
 class TestBlackbody:

@@ -285,6 +285,13 @@ class TestCoincidence:
         raw = np.einsum("a,tab,b->t", mu, traj.matrices, mu)
         assert np.max(np.abs(raw.imag)) <= 1e-10 * np.max(np.abs(raw.real))
 
+    def test_non_hermitian_trajectory_rejected(self):
+        times = ps.TimeGrid(0.0, 1.0, 3)
+        skew = np.array([[1.0, 0.5j], [0.5j, 1.0]])
+        traj = ps.DensityTrajectory(times, np.stack([skew] * times.count))
+        with pytest.raises(ps.NumericalError, match="imaginary"):
+            ps.coincidence_signal(TWO_LEVEL, traj)
+
     def test_degenerate_pair_quadruples_single(self):
         times = ps.TimeGrid(0.0, 100.0, 501)
         single = ps.MolecularSystem(((18000.0, 1.0),))
