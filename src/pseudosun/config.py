@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 
 from .errors import ValidationError
@@ -338,6 +339,8 @@ def _average(block: _Block | None) -> AverageSpec | None:
     block.finish()
     if spec.samples < 1:
         raise ValidationError("heralded.average.samples: must be >= 1")
+    if spec.pad is not None and not isfinite(spec.pad):
+        raise ValidationError(f"heralded.average.pad: must be finite, got {spec.pad}")
     if spec.sampling not in ("uniform", "random"):
         raise ValidationError("heralded.average.sampling: must be 'uniform' or 'random'")
     return spec

@@ -9,6 +9,13 @@ one-photon wavepacket whose effective field is either
   duration entanglement_time carrying the signal-center phase, with edge
   value one half at exactly +/- half the duration.
 
+The exact field F(t_k) = sum_n p_n exp(-i w_n (t_k - t_h)) is synthesized
+by one chirp-z transform (Bluestein's algorithm on numpy.fft), since both
+the frequencies and the times lie on uniform grids: O((N + T) log(N + T))
+time and O(N + T) memory for N frequencies and T times. A herald average
+builds the transform once and only changes its coefficients,
+p_n exp(i w_n t_h), from herald to herald.
+
 Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
 exactly rank one. The long-time closed form, the impulsive (zero-duration)
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, frexp, isfinite, ldexp
 
 import numpy as np
 
@@ -118,14 +125,15 @@ def heralded_field(
     Both methods depend on time only through t - herald_time, so shifting the
     herald shifts the whole profile.
     """
-    delay = times.points - herald_time
+    if not isfinite(herald_time):
+        raise ValidationError(f"heralded_field: herald_time must be finite, got {herald_time}")
     if method is FieldMethod.RECT_APPROX:
-        amplitudes = _rect_field(delay, params)
+        amplitudes = _rect_field(times.points - herald_time, params)
     elif method is FieldMethod.EXACT_QUADRATURE:
         if grid is None:
             span = max(abs(times.max - herald_time), abs(herald_time - times.min))
             grid = default_field_grid(params, time_span=span)
-        amplitudes = _exact_field(delay, params, grid)
+        amplitudes = _exact_field(times, herald_time, params, grid)
     else:
         raise ValidationError(f"heralded_field: unknown method {method!r}")
     return HeraldedField(times, herald_time, amplitudes, method)
@@ -141,10 +149,62 @@ def _rect_field(delay: np.ndarray, params: PdcParams) -> np.ndarray:
     return height * box * carrier
 
 
-def _exact_field(delay: np.ndarray, params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
-    profile = _field_profile(params, grid)
-    phases = np.exp(-1j * np.outer(delay, angular_frequency(grid.points)))
-    return phases @ profile
+class _ChirpZ:
+    """Field synthesizer F_k = sum_n c_n exp(-i w_n (tau0 + k dtau)), k < count.
+
+    w_n runs over the uniform grid, so with nk = (n^2 + k^2 - (k - n)^2) / 2
+    the sum is a convolution with the chirp exp(i dw dtau m^2 / 2)
+    (Bluestein's chirp-z transform). The chirps and the FFT of the kernel
+    are built once at a power-of-two size >= N + count - 1; each call is
+    then one FFT and one inverse FFT: O((N + T) log(N + T)) time and
+    O(N + T) memory.
+    """
+
+    def __init__(self, grid: FrequencyGrid, tau0: float, dtau: float, count: int):
+        n = np.arange(grid.count, dtype=float)
+        k = np.arange(count, dtype=float)
+        m = n if grid.count >= count else k
+        step = C_CM_PER_FS * grid.spacing
+        offset = C_CM_PER_FS * grid.min
+        chirp = _phasor(0.5 * step * dtau, m * m)
+        self.size = 1 << (grid.count + count - 2).bit_length()
+        self.count = count
+        self.pre = _phasor(-step * tau0, n) * chirp[: grid.count].conj()
+        self.post = _phasor(-offset * dtau, k) * chirp[:count].conj()
+        self.post *= np.exp(-2j * np.pi * ((offset * tau0) % 1.0))
+        kernel = np.zeros(self.size, dtype=complex)
+        kernel[:count] = chirp[:count]
+        kernel[self.size - grid.count + 1 :] = chirp[1 : grid.count][::-1]
+        self.kernel = np.fft.fft(kernel)
+
+    def __call__(self, coefficients: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.fft(coefficients * self.pre, self.size)
+        spectrum *= self.kernel
+        return self.post * np.fft.ifft(spectrum)[: self.count]
+
+
+def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:
+    """exp(2 pi i turns steps) for whole-number steps >= 0, whole turns removed exactly.
+
+    The chirp phase grows as m^2, far past where radians keep their last
+    digits. turns is split into a head short enough that head * steps is
+    exact in float64, so its whole turns drop out exactly, and a tail small
+    enough that tail * steps stays accurate.
+    """
+    bits = 52 - int(steps[-1]).bit_length()
+    exponent = frexp(turns)[1]
+    head = ldexp(round(ldexp(turns, bits - exponent)), exponent - bits)
+    phase = head * steps
+    phase -= np.floor(phase)
+    phase += (turns - head) * steps
+    return np.exp(2j * np.pi * phase)
+
+
+def _exact_field(
+    times: TimeGrid, herald_time: float, params: PdcParams, grid: FrequencyGrid
+) -> np.ndarray:
+    synthesize = _ChirpZ(grid, times.min - herald_time, times.spacing, times.count)
+    return synthesize(_field_profile(params, grid))
 
 
 def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
@@ -158,18 +218,21 @@ def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
     )
 
 
+def _level_phasors(mol: MolecularSystem, times: TimeGrid) -> np.ndarray:
+    """exp(i eps_a t) for every level a and time t, shape (L, n_times)."""
+    return np.exp(1j * np.outer(angular_frequency(mol.energies), times.points))
+
+
 def _single_excitation_amplitudes(
-    mol: MolecularSystem, times: TimeGrid, field_values: np.ndarray
+    mol: MolecularSystem, times: TimeGrid, field_values: np.ndarray, phasors: np.ndarray
 ) -> np.ndarray:
     """Level amplitudes (n_times, L) from a cumulative response to the field."""
-    tpts = times.points
-    level_ang = angular_frequency(mol.energies)
-    driven = np.exp(1j * np.outer(level_ang, tpts)) * field_values[None, :]
+    driven = phasors * field_values[None, :]
     increments = 0.5 * times.spacing * (driven[:, 1:] + driven[:, :-1])
     cumulative = np.concatenate(
         [np.zeros((mol.size, 1), dtype=complex), np.cumsum(increments, axis=1)], axis=1
     )
-    return (mol.dipoles[:, None] * np.exp(-1j * np.outer(level_ang, tpts)) * cumulative).T
+    return (mol.dipoles[:, None] * phasors.conj() * cumulative).T
 
 
 def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> HeraldedTrajectory:
@@ -182,7 +245,8 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> HeraldedTraje
         raise ValidationError(
             f"evolve_heralded: times must start at or after 0, got {field.times.min}"
         )
-    phi = _single_excitation_amplitudes(mol, field.times, field.amplitudes)
+    phasors = _level_phasors(mol, field.times)
+    phi = _single_excitation_amplitudes(mol, field.times, field.amplitudes, phasors)
     matrices = phi[:, :, None] * phi.conj()[:, None, :]
     return HeraldedTrajectory(field.times, matrices, herald_time=field.herald_time)
 
@@ -249,6 +313,8 @@ def average_over_heralds(
         )
     if pad is None:
         pad = params.entanglement_time
+    if not isfinite(pad):
+        raise ValidationError(f"average_over_heralds: pad must be finite, got {pad}")
     if pad < params.entanglement_time:
         raise ValidationError(
             f"average_over_heralds: pad must be at least the entanglement time "
@@ -274,23 +340,18 @@ def average_over_heralds(
             grid = default_field_grid(params, time_span=hi - times.min)
         profile = _field_profile(params, grid)
         omega = angular_frequency(grid.points)
-        # One-time phase matrix: per-herald fields are then a single matvec.
-        base_phases = np.exp(-1j * np.outer(tpts, omega))
-
-        def field_for(herald_time: float) -> np.ndarray:
-            return base_phases @ (profile * np.exp(1j * omega * herald_time))
-
+        # One synthesizer for all heralds, which change only its coefficients.
+        synthesize = _ChirpZ(grid, times.min, times.spacing, times.count)
+        fields = (synthesize(profile * np.exp(1j * omega * h)) for h in herald_times)
     elif method is FieldMethod.RECT_APPROX:
-
-        def field_for(herald_time: float) -> np.ndarray:
-            return _rect_field(tpts - herald_time, params)
-
+        fields = (_rect_field(tpts - h, params) for h in herald_times)
     else:
         raise ValidationError(f"average_over_heralds: unknown method {method!r}")
 
+    phasors = _level_phasors(mol, times)
     total = np.zeros((times.count, mol.size, mol.size), dtype=complex)
-    for herald_time in herald_times:
-        phi = _single_excitation_amplitudes(mol, times, field_for(float(herald_time)))
+    for field_values in fields:
+        phi = _single_excitation_amplitudes(mol, times, field_values, phasors)
         total += phi[:, :, None] * phi.conj()[:, None, :]
     return DensityTrajectory(times, total / len(herald_times))
 

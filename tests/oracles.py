@@ -3,16 +3,25 @@
 Everything here deliberately avoids the closed forms used by the package:
 the mean photon number is summed from the probability mass function, the
 density-matrix evolution is a direct double-time quadrature of the field
-correlation function, and the coincidence quadratic form is an explicit
-double loop.
+correlation function, the exact heralded field is a dense T x N phase-matrix
+sum (and the same sum through scipy's chirp-z transform), and the
+coincidence quadratic form is an explicit double loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import czt, fftconvolve
 
-from pseudosun import MolecularSystem, PhotonSpectrum, TimeGrid, correlation_cw
+from pseudosun import (
+    FrequencyGrid,
+    MolecularSystem,
+    PdcParams,
+    PhotonSpectrum,
+    TimeGrid,
+    correlation_cw,
+    squeeze_profile,
+)
 from pseudosun.numerics import angular_frequency, trapezoid_weights
 
 
@@ -87,6 +96,42 @@ def evolve_by_double_quadrature(
                 phase = np.exp(-1j * (level_ang[a] - level_ang[b]) * t_val)
                 out[j, a, b] = mu[a] * mu[b] * phase * double_sum
     return out
+
+
+def field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
+    """Trapezoid weight times sqrt(nu / nu_c) times tanh r(nu) on the field grid."""
+    nu = grid.points
+    return (
+        trapezoid_weights(grid.count, grid.spacing)
+        * np.sqrt(nu / params.signal_center)
+        * np.tanh(squeeze_profile(nu, params))
+    )
+
+
+def dense_field(
+    times: TimeGrid, herald_time: float, grid: FrequencyGrid, profile: np.ndarray
+) -> np.ndarray:
+    """Exact heralded field as the dense sum F(t_k) = sum_n p_n exp(-i w_n (t_k - t_h))."""
+    delay = times.points - herald_time
+    return np.exp(-1j * np.outer(delay, angular_frequency(grid.points))) @ profile
+
+
+def czt_field(
+    times: TimeGrid, herald_time: float, grid: FrequencyGrid, profile: np.ndarray
+) -> np.ndarray:
+    """The same sum through scipy.signal.czt.
+
+    With tau_k = tau0 + k dtau and w_n = w0 + n dw, the sum is
+    exp(-i w0 tau_k) sum_n p_n z_k^-n on the contour z_k = a w^-k,
+    a = exp(i dw tau0), w = exp(-i dw dtau).
+    """
+    tau = times.points - herald_time
+    tau0 = times.min - herald_time
+    dw = angular_frequency(grid.spacing)
+    transform = czt(
+        profile, times.count, w=np.exp(-1j * dw * times.spacing), a=np.exp(1j * dw * tau0)
+    )
+    return np.exp(-1j * angular_frequency(grid.min) * tau) * transform
 
 
 def quadratic_form_by_loops(mol: MolecularSystem, matrices: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 import pseudosun as ps
 from pseudosun.cli import main
-from pseudosun.config import example_config
+from pseudosun.config import example_config, parse_heralded
 
 SMALL_PDC = {
     "pump_freq": 25000.0,
@@ -160,6 +160,19 @@ class TestBoundaryRejection:
         path.write_text(json.dumps({"heralded": block}).replace('"T"', "NaN"))
         assert main(["heralded", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "heralded.herald_times[1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pad", [float("nan"), float("inf")])
+    def test_non_finite_pad_in_dict_rejected(self, pad):
+        block = {
+            "molecule": SMALL_MOL,
+            "pdc": SMALL_PDC,
+            "herald_times": [10.0],
+            "method": "rect_approx",
+            "times": {"min": 0.0, "max": 20.0, "count": 101},
+            "average": {"samples": 4, "pad": pad},
+        }
+        with pytest.raises(ps.ValidationError, match="heralded.average.pad"):
+            parse_heralded(block)
 
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "dup.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,24 @@ import pytest
 import pseudosun as ps
 from pseudosun.numerics import C_CM_PER_FS, angular_frequency
 
-from conftest import AMP_REF, DYN_GRID, NARROW_PDC, ONE_LEVEL, REF_PDC, TWO_LEVEL, rng
+from conftest import (
+    AMP_REF,
+    DYN_GRID,
+    NARROW_PDC,
+    ONE_LEVEL,
+    REF_PDC,
+    TIMES_100,
+    TWO_LEVEL,
+    rng,
+)
 from locks import EXACT_RECT_FIELD_L2
-from oracles import quadratic_form_by_loops
+from oracles import (
+    czt_field,
+    dense_field,
+    field_profile,
+    quadratic_form_by_loops,
+    relative_frobenius,
+)
 
 RECT = ps.FieldMethod.RECT_APPROX
 EXACT = ps.FieldMethod.EXACT_QUADRATURE
@@ -88,6 +104,53 @@ class TestExactField:
         grid = ps.default_field_grid(REF_PDC, time_span=100.0)
         period = 1.0 / (C_CM_PER_FS * grid.spacing)
         assert period >= 200.0
+
+
+#: The default grid of a herald average on TIMES_100 (102.5 fs span, 4175 points).
+FIGURE_FIELD_GRID = ps.default_field_grid(REF_PDC, time_span=102.5)
+#: With T = 2001, N + T - 1 is exactly the FFT size 8192; this grid does not start at 0.
+POWER_OF_TWO_GRID = ps.FrequencyGrid(6000.0, 18000.0, 8192 - 2001 + 1)
+
+
+class TestFieldSynthesizer:
+    # Heralds inside the window, at its edges and just outside it. Further
+    # out the window sees only ~1e-4 of the pulse, and the dense sum's own
+    # phase rounding reaches 1e-9 of that.
+    @pytest.mark.parametrize(
+        "times, herald_time, grid",
+        [(TIMES_100, h, FIGURE_FIELD_GRID) for h in (50.0, 0.0, 100.0, -3.0, 104.0)]
+        + [
+            (ps.TimeGrid(10.0, 60.0, 2001), 35.0, POWER_OF_TWO_GRID),
+            (ps.TimeGrid(10.0, 60.0, 2001), 12.5, POWER_OF_TWO_GRID),
+            (ps.TimeGrid(0.0, 100.0, 2), 50.0, ps.default_field_grid(REF_PDC, time_span=50.0)),
+        ],
+        ids=["inside", "left-edge", "right-edge", "before", "after", "pow2", "pow2-edge", "T2"],
+    )
+    def test_matches_dense_and_scipy_czt(self, times, herald_time, grid):
+        got = ps.heralded_field(times, herald_time, REF_PDC, grid=grid, method=EXACT).amplitudes
+        profile = field_profile(REF_PDC, grid)
+        for oracle in (dense_field, czt_field):
+            want = oracle(times, herald_time, grid, profile)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_memory_stays_linear_at_long_spans(self):
+        # The dense T x N phase matrix here would be 2001 x 203599 complex, 6.5 GB.
+        times = ps.TimeGrid(0.0, 5000.0, 2001)
+        assert ps.default_field_grid(REF_PDC, time_span=5000.0).count == 203599
+        tracemalloc.start()
+        try:
+            field = ps.heralded_field(times, 0.0, REF_PDC, method=EXACT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert np.all(np.isfinite(field.amplitudes))
+
+    @pytest.mark.parametrize("method", [RECT, EXACT])
+    @pytest.mark.parametrize("herald_time", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_herald_time_rejected(self, method, herald_time):
+        with pytest.raises(ps.ValidationError, match="herald_time"):
+            ps.heralded_field(TIMES_100, herald_time, REF_PDC, method=method)
 
 
 class TestEvolveHeralded:
@@ -243,6 +306,17 @@ class TestHeraldAveraging:
         want = b.matrices[window, 0, 0].real
         assert np.max(np.abs(got - want) / want) < 0.05
 
+    def test_exact_average_matches_single_herald_loop(self):
+        times = ps.TimeGrid(0.0, 40.0, 801)
+        pad = REF_PDC.entanglement_time
+        grid = ps.default_field_grid(REF_PDC, time_span=times.max + pad)
+        averaged = ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 9, method=EXACT)
+        total = np.zeros_like(averaged.matrices)
+        for herald_time in np.linspace(-pad, times.max + pad, 9):
+            field = ps.heralded_field(times, herald_time, REF_PDC, grid=grid, method=EXACT)
+            total += ps.evolve_heralded(TWO_LEVEL, field).matrices
+        assert relative_frobenius(averaged.matrices, total / 9) <= 1e-12
+
     def test_random_sampling_seeded(self):
         times = ps.TimeGrid(0.0, 20.0, 101)
         one = ps.average_over_heralds(
@@ -265,6 +339,13 @@ class TestHeraldAveraging:
             ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 4, pad=1.0)
         with pytest.raises(ps.ValidationError):
             ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 4, sampling="sobol")
+
+    @pytest.mark.parametrize("method", [RECT, EXACT])
+    @pytest.mark.parametrize("pad", [float("nan"), float("inf")])
+    def test_non_finite_pad_rejected(self, method, pad):
+        times = ps.TimeGrid(0.0, 20.0, 101)
+        with pytest.raises(ps.ValidationError, match="pad"):
+            ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 4, method=method, pad=pad)
 
 
 class TestCoincidence:
