@@ -4,23 +4,34 @@ A config file holds one top-level block per command, e.g.
 
     {"spectrum": {"grid": {...}, "pdc": {...}, "thermal": {...}}}
 
-so a single file can drive several commands. Parsing is strict: duplicate
-and unknown keys are rejected anywhere, so are the non-standard literals
-NaN, Infinity and -Infinity, missing keys are reported with their full
-path, and all domain invariants are enforced before any computation starts.
+so a single file can drive several commands. Each block is read into a
+frozen dataclass by one reader driven by the dataclass fields and their type
+hints: a JSON object is a dataclass, a list is a tuple, and every key is a
+field. A key is optional if and only if its field has a default, and an
+absent key takes that default.
+
+Parsing is strict: duplicate and unknown keys are rejected anywhere, so are
+the non-standard literals NaN, Infinity and -Infinity and any non-finite
+number, missing keys are reported with their full path, and all domain
+invariants are enforced before any computation starts. An error raised by
+a constructor is prefixed with the path of the block it was building.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
-from dataclasses import dataclass
+import sys
+import types
+import typing
+from dataclasses import dataclass, field
 from importlib import resources
-from math import isfinite
 from pathlib import Path
 
 from .errors import ValidationError
-from .fitting import PARAM_ORDER, FitProblem
-from .heralded import FieldMethod
+from .fitting import FitProblem
+from .heralded import FieldMethod, herald_pad
 from .dynamics import MolecularSystem, NormalizationMode
 from .numerics import FrequencyGrid, TimeGrid
 from .pdc import PdcParams, ThermalParams
@@ -74,7 +85,7 @@ def load_config(path) -> dict:
             raw = json.load(handle, parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path}: invalid JSON ({exc})")
-    except ValidationError as exc:
+    except ValueError as exc:  # a duplicate key, non-UTF-8 bytes, an integer past the digit limit
         raise ValidationError(f"config {path}: {exc}")
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path}: top level must be an object")
@@ -90,136 +101,92 @@ def load_config(path) -> dict:
 def command_block(config: dict, command: str) -> dict:
     if command not in config:
         raise ValidationError(f"config has no '{command}' block")
-    block = config[command]
-    if not isinstance(block, dict):
-        raise ValidationError(f"'{command}' block must be an object")
-    return block
+    return config[command]
 
 
-_MISSING = object()
+class _RuleError(ValidationError):
+    """A rule across the fields of a config block; the message starts with a key of the block."""
 
 
-def _as_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"expected a number, got {value!r}")
-    return float(value)
+_EXPECTED = {float: "a number", int: "an integer", str: "a string"}
 
 
-def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_str(value) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"expected a string, got {value!r}")
-    return value
-
-
-def _as_list(value) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"expected a list, got {value!r}")
-    return value
-
-
-_CONVERTERS = {float: _as_float, int: _as_int, str: _as_str, list: _as_list}
-
-
-class _Block:
-    """Key-by-key reader that tracks its path and rejects leftovers."""
-
-    def __init__(self, data: dict, where: str):
-        if not isinstance(data, dict):
-            raise ValidationError(f"{where}: must be an object")
-        self._data = dict(data)
-        self._where = where
-
-    def take(self, key, kind, default=_MISSING):
-        if key not in self._data:
-            if default is _MISSING:
-                raise ValidationError(f"{self._where}.{key}: missing required key")
-            return default
-        value = self._data.pop(key)
-        converter = _CONVERTERS.get(kind, kind)
+def _read(kind, value, where: str):
+    """Build a value of the declared type `kind` from the JSON `value` at path `where`."""
+    if dataclasses.is_dataclass(kind):
+        return _read_block(kind, value, where)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        # Declared as X | None: an absent key takes the default, a present one must be an X.
+        return _read(args[0], value, where)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{where}: expected a list, got {value!r}")
+        kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(kinds):
+            raise ValidationError(f"{where}: expected {len(kinds)} entries, got {len(value)}")
+        return tuple(_read(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if issubclass(kind, enum.Enum):
         try:
-            return converter(value)
-        except ValidationError as exc:
-            raise ValidationError(f"{self._where}.{key}: {exc}")
-
-    def sub(self, key, required=True):
-        if key not in self._data:
-            if required:
-                raise ValidationError(f"{self._where}.{key}: missing required key")
-            return None
-        return _Block(self._data.pop(key), f"{self._where}.{key}")
-
-    def finish(self):
-        if self._data:
-            extra = ", ".join(sorted(self._data))
-            raise ValidationError(f"{self._where}: unknown key(s): {extra}")
-
-    @property
-    def where(self) -> str:
-        return self._where
+            return kind(value)
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            raise ValidationError(f"{where}: must be one of: {choices}; got {value!r}") from None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    if kind is float:
+        # Compared, not converted, so an integer too large for a float is rejected too.
+        if not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"{where}: must be finite, got {value}")
+        return float(value)
+    return value
 
 
-def _frequency_grid(block: _Block) -> FrequencyGrid:
-    grid = FrequencyGrid(
-        block.take("min", float), block.take("max", float), block.take("count", int)
-    )
-    block.finish()
-    return grid
-
-
-def _time_grid(block: _Block) -> TimeGrid:
-    grid = TimeGrid(block.take("min", float), block.take("max", float), block.take("count", int))
-    block.finish()
-    return grid
-
-
-def _pdc_params(block: _Block) -> PdcParams:
-    params = PdcParams(
-        pump_freq=block.take("pump_freq", float),
-        signal_center=block.take("signal_center", float),
-        entanglement_time=block.take("entanglement_time", float),
-        gain=block.take("gain", float),
-    )
-    block.finish()
-    return params
-
-
-def _thermal_params(block: _Block) -> ThermalParams:
-    params = ThermalParams(temperature=block.take("temperature", float))
-    block.finish()
-    return params
-
-
-def _molecule(block: _Block) -> MolecularSystem:
-    raw_levels = block.take("levels", list)
-    block.finish()
-    levels = []
-    for k, entry in enumerate(raw_levels):
-        level = _Block(entry, f"{block.where}.levels[{k}]")
-        levels.append((level.take("energy", float), level.take("dipole", float)))
-        level.finish()
-    return MolecularSystem(tuple(levels))
-
-
-def _normalization(value: str) -> NormalizationMode:
+def _read_block(cls, value, where: str):
+    """Build the dataclass `cls` from the JSON object `value` at path `where`."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: must be an object")
+    declared = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(set(value) - set(declared))
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s): {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, declaration in declared.items():
+        if name in value:
+            values[name] = _read(hints[name], value[name], f"{where}.{name}")
+        elif declaration.default is dataclasses.MISSING:
+            raise ValidationError(f"{where}.{name}: missing required key")
     try:
-        return NormalizationMode(value)
-    except ValueError:
-        choices = ", ".join(mode.value for mode in NormalizationMode)
-        raise ValidationError(f"normalization must be one of: {choices}; got {value!r}")
+        return cls(**values)
+    except _RuleError as exc:
+        raise ValidationError(f"{where}.{exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
-def _field_method(value: str) -> FieldMethod:
-    try:
-        return FieldMethod(value)
-    except ValueError:
-        choices = ", ".join(method.value for method in FieldMethod)
-        raise ValidationError(f"method must be one of: {choices}; got {value!r}")
+def _check_start(times: TimeGrid) -> None:
+    if times.min < 0:
+        raise _RuleError("times.min: must be >= 0 (light switches on at t = 0)")
+
+
+@dataclass(frozen=True)
+class Level:
+    energy: float
+    dipole: float
+
+
+@dataclass(frozen=True)
+class Molecule:
+    """The molecule block: its levels as {energy, dipole} objects."""
+
+    levels: tuple[Level, ...]
+    system: MolecularSystem = field(init=False)
+
+    def __post_init__(self):
+        levels = tuple((level.energy, level.dipole) for level in self.levels)
+        object.__setattr__(self, "system", MolecularSystem(levels))
 
 
 @dataclass(frozen=True)
@@ -227,195 +194,123 @@ class SpectrumConfig:
     grid: FrequencyGrid
     pdc: PdcParams
     thermal: ThermalParams
-    output: str
+    output: str = "spectrum.csv"
 
 
 def parse_spectrum(block: dict) -> SpectrumConfig:
-    reader = _Block(block, "spectrum")
-    config = SpectrumConfig(
-        grid=_frequency_grid(reader.sub("grid")),
-        pdc=_pdc_params(reader.sub("pdc")),
-        thermal=_thermal_params(reader.sub("thermal")),
-        output=reader.take("output", str, "spectrum.csv"),
-    )
-    reader.finish()
-    return config
+    return _read(SpectrumConfig, block, "spectrum")
+
+
+@dataclass(frozen=True)
+class FitBounds:
+    """[lo, hi] of each parameter the fit may vary; every free parameter needs one."""
+
+    pump_freq: tuple[float, float] | None = None
+    signal_center: tuple[float, float] | None = None
+    entanglement_time: tuple[float, float] | None = None
+    gain: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    problem: FitProblem
-    max_iters: int
-    tol: float
-    report: str
-    output: str
+    window: FrequencyGrid
+    thermal: ThermalParams
+    initial: PdcParams
+    free_params: tuple[str, ...]
+    bounds: FitBounds
+    max_iters: int = 500
+    tol: float = 1e-8
+    report: str = "fit_report.txt"
+    output: str = "fit_spectrum.csv"
+    problem: FitProblem = field(init=False)
+
+    def __post_init__(self):
+        problem = FitProblem(
+            window=self.window,
+            target=self.thermal,
+            free_params=self.free_params,
+            initial=self.initial,
+            bounds={name: pair for name, pair in vars(self.bounds).items() if pair is not None},
+        )
+        object.__setattr__(self, "problem", problem)
 
 
 def parse_fit(block: dict) -> FitConfig:
-    reader = _Block(block, "fit")
-    window = _frequency_grid(reader.sub("window"))
-    thermal = _thermal_params(reader.sub("thermal"))
-    initial = _pdc_params(reader.sub("initial"))
-    free = reader.take("free_params", list)
-    if not free:
-        raise ValidationError("fit.free_params: must list at least one parameter")
-    bounds_block = reader.sub("bounds")
-    bounds = {}
-    for name in PARAM_ORDER:
-        pair = bounds_block.take(name, list, None)
-        if pair is not None:
-            if len(pair) != 2:
-                raise ValidationError(f"fit.bounds.{name}: expected [lo, hi]")
-            try:
-                bounds[name] = (_as_float(pair[0]), _as_float(pair[1]))
-            except ValidationError as exc:
-                raise ValidationError(f"fit.bounds.{name}: {exc}")
-    bounds_block.finish()
-    config = FitConfig(
-        problem=FitProblem(
-            window=window,
-            target=thermal,
-            free_params=tuple(str(name) for name in free),
-            initial=initial,
-            bounds=bounds,
-        ),
-        max_iters=reader.take("max_iters", int, 500),
-        tol=reader.take("tol", float, 1e-8),
-        report=reader.take("report", str, "fit_report.txt"),
-        output=reader.take("output", str, "fit_spectrum.csv"),
-    )
-    reader.finish()
-    return config
+    return _read(FitConfig, block, "fit")
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    molecule: MolecularSystem
+    molecule: Molecule
     pdc: PdcParams
-    blackbody: ThermalParams | None
     grid: FrequencyGrid
     times: TimeGrid
-    normalization: NormalizationMode
-    output: str
-    blackbody_output: str
+    blackbody: ThermalParams | None = None
+    normalization: NormalizationMode = NormalizationMode.MAX_REPART_OFFDIAG
+    output: str = "dynamics_pdc.csv"
+    blackbody_output: str = "dynamics_blackbody.csv"
+
+    def __post_init__(self):
+        _check_start(self.times)
 
 
 def parse_dynamics(block: dict) -> DynamicsConfig:
-    reader = _Block(block, "dynamics")
-    blackbody_block = reader.sub("blackbody", required=False)
-    config = DynamicsConfig(
-        molecule=_molecule(reader.sub("molecule")),
-        pdc=_pdc_params(reader.sub("pdc")),
-        blackbody=_thermal_params(blackbody_block) if blackbody_block else None,
-        grid=_frequency_grid(reader.sub("grid")),
-        times=_time_grid(reader.sub("times")),
-        normalization=reader.take(
-            "normalization", _normalization, NormalizationMode.MAX_REPART_OFFDIAG
-        ),
-        output=reader.take("output", str, "dynamics_pdc.csv"),
-        blackbody_output=reader.take("blackbody_output", str, "dynamics_blackbody.csv"),
-    )
-    reader.finish()
-    if config.times.min < 0:
-        raise ValidationError("dynamics.times.min: must be >= 0 (light switches on at t = 0)")
-    return config
+    return _read(DynamicsConfig, block, "dynamics")
 
 
 @dataclass(frozen=True)
 class AverageSpec:
+    """Settings of a herald average; heralded.herald_pad holds their rules."""
+
     samples: int
-    pad: float | None
-    sampling: str
-
-
-def _average(block: _Block | None) -> AverageSpec | None:
-    if block is None:
-        return None
-    spec = AverageSpec(
-        samples=block.take("samples", int),
-        pad=block.take("pad", float, None),
-        sampling=block.take("sampling", str, "uniform"),
-    )
-    block.finish()
-    if spec.samples < 1:
-        raise ValidationError("heralded.average.samples: must be >= 1")
-    if spec.pad is not None and not isfinite(spec.pad):
-        raise ValidationError(f"heralded.average.pad: must be finite, got {spec.pad}")
-    if spec.sampling not in ("uniform", "random"):
-        raise ValidationError("heralded.average.sampling: must be 'uniform' or 'random'")
-    return spec
+    pad: float | None = None
+    sampling: str = "uniform"
 
 
 @dataclass(frozen=True)
 class HeraldedConfig:
-    molecule: MolecularSystem
+    molecule: Molecule
     pdc: PdcParams
     herald_times: tuple[float, ...]
-    method: FieldMethod
     times: TimeGrid
-    field_grid: FrequencyGrid | None
-    normalization: NormalizationMode
-    average: AverageSpec | None
-    output_prefix: str
-    average_output: str
+    method: FieldMethod = FieldMethod.RECT_APPROX
+    field_grid: FrequencyGrid | None = None
+    normalization: NormalizationMode = NormalizationMode.MAX_DIAG
+    average: AverageSpec | None = None
+    output_prefix: str = "heralded"
+    average_output: str = "heralded_average.csv"
+
+    def __post_init__(self):
+        if not self.herald_times:
+            raise _RuleError("herald_times: must list at least one herald time")
+        if len(set(self.herald_times)) != len(self.herald_times):
+            raise _RuleError(f"herald_times: duplicate herald times in {list(self.herald_times)}")
+        _check_start(self.times)
+        if self.average is not None:
+            spec = self.average
+            try:
+                herald_pad(self.pdc, spec.samples, spec.pad, spec.sampling)
+            except ValidationError as exc:
+                raise _RuleError(f"average: {exc}") from None
 
 
 def parse_heralded(block: dict) -> HeraldedConfig:
-    reader = _Block(block, "heralded")
-    raw_times = reader.take("herald_times", list)
-    if not raw_times:
-        raise ValidationError("heralded.herald_times: must list at least one herald time")
-    try:
-        herald_times = tuple(_as_float(t) for t in raw_times)
-    except ValidationError as exc:
-        raise ValidationError(f"heralded.herald_times: {exc}")
-    if len(set(herald_times)) != len(herald_times):
-        raise ValidationError(
-            f"heralded.herald_times: duplicate herald times in {list(herald_times)}"
-        )
-    field_grid_block = reader.sub("field_grid", required=False)
-    config = HeraldedConfig(
-        molecule=_molecule(reader.sub("molecule")),
-        pdc=_pdc_params(reader.sub("pdc")),
-        herald_times=herald_times,
-        method=reader.take("method", _field_method, FieldMethod.RECT_APPROX),
-        times=_time_grid(reader.sub("times")),
-        field_grid=_frequency_grid(field_grid_block) if field_grid_block else None,
-        normalization=reader.take("normalization", _normalization, NormalizationMode.MAX_DIAG),
-        average=_average(reader.sub("average", required=False)),
-        output_prefix=reader.take("output_prefix", str, "heralded"),
-        average_output=reader.take("average_output", str, "heralded_average.csv"),
-    )
-    reader.finish()
-    if config.times.min < 0:
-        raise ValidationError("heralded.times.min: must be >= 0 (light switches on at t = 0)")
-    return config
+    return _read(HeraldedConfig, block, "heralded")
 
 
 @dataclass(frozen=True)
 class CoincidenceConfig:
-    molecule: MolecularSystem
+    molecule: Molecule
     pdc: PdcParams
     herald_time: float
-    method: FieldMethod
     times: TimeGrid
-    field_grid: FrequencyGrid | None
-    output: str
+    method: FieldMethod = FieldMethod.RECT_APPROX
+    field_grid: FrequencyGrid | None = None
+    output: str = "coincidence.csv"
+
+    def __post_init__(self):
+        _check_start(self.times)
 
 
 def parse_coincidence(block: dict) -> CoincidenceConfig:
-    reader = _Block(block, "coincidence")
-    field_grid_block = reader.sub("field_grid", required=False)
-    config = CoincidenceConfig(
-        molecule=_molecule(reader.sub("molecule")),
-        pdc=_pdc_params(reader.sub("pdc")),
-        herald_time=reader.take("herald_time", float),
-        method=reader.take("method", _field_method, FieldMethod.RECT_APPROX),
-        times=_time_grid(reader.sub("times")),
-        field_grid=_frequency_grid(field_grid_block) if field_grid_block else None,
-        output=reader.take("output", str, "coincidence.csv"),
-    )
-    reader.finish()
-    if config.times.min < 0:
-        raise ValidationError("coincidence.times.min: must be >= 0 (light switches on at t = 0)")
-    return config
+    return _read(CoincidenceConfig, block, "coincidence")

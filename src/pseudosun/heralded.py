@@ -284,6 +284,27 @@ def _phase_rotated_outer(mol: MolecularSystem, overlap: np.ndarray, elapsed: flo
     return matrix / peak
 
 
+def herald_pad(params: PdcParams, samples: int, pad: float | None, sampling: str) -> float:
+    """Check the settings of a herald average and return its pad.
+
+    samples must be a whole number >= 1 and sampling 'uniform' or 'random'.
+    pad defaults to the entanglement time and must be finite and at least
+    that long, so a pulse reaching into the window is sampled whole.
+    """
+    if not (samples >= 1 and float(samples).is_integer()):
+        raise ValidationError(f"samples must be >= 1, got {samples}")
+    if sampling not in ("uniform", "random"):
+        raise ValidationError(f"sampling must be 'uniform' or 'random', got {sampling!r}")
+    if pad is None:
+        return params.entanglement_time
+    if not (isfinite(pad) and pad >= params.entanglement_time):
+        raise ValidationError(
+            "pad must be finite and at least the entanglement time "
+            f"({params.entanglement_time} fs), got {pad}"
+        )
+    return pad
+
+
 def average_over_heralds(
     mol: MolecularSystem,
     params: PdcParams,
@@ -303,36 +324,22 @@ def average_over_heralds(
     order is fixed, so results are reproducible. With many samples the
     average converges to the unheralded trajectory.
     """
-    if int(herald_samples) != herald_samples or herald_samples < 1:
-        raise ValidationError(
-            f"average_over_heralds: herald_samples must be >= 1, got {herald_samples}"
-        )
+    try:
+        pad = herald_pad(params, herald_samples, pad, sampling)
+    except ValidationError as exc:
+        raise ValidationError(f"average_over_heralds: {exc}") from None
     if times.min < 0:
         raise ValidationError(
             f"average_over_heralds: times must start at or after 0, got {times.min}"
         )
-    if pad is None:
-        pad = params.entanglement_time
-    if not isfinite(pad):
-        raise ValidationError(f"average_over_heralds: pad must be finite, got {pad}")
-    if pad < params.entanglement_time:
-        raise ValidationError(
-            f"average_over_heralds: pad must be at least the entanglement time "
-            f"({params.entanglement_time} fs), got {pad}"
-        )
     lo, hi = times.min - pad, times.max + pad
-    if sampling == "uniform":
-        if herald_samples == 1:
-            herald_times = np.array([0.5 * (lo + hi)])
-        else:
-            herald_times = np.linspace(lo, hi, int(herald_samples))
-    elif sampling == "random":
+    if sampling == "random":
         rng = np.random.default_rng(seed)
         herald_times = rng.uniform(lo, hi, int(herald_samples))
+    elif herald_samples == 1:
+        herald_times = np.array([0.5 * (lo + hi)])
     else:
-        raise ValidationError(
-            f"average_over_heralds: sampling must be 'uniform' or 'random', got {sampling!r}"
-        )
+        herald_times = np.linspace(lo, hi, int(herald_samples))
 
     tpts = times.points
     if method is FieldMethod.EXACT_QUADRATURE:

@@ -82,9 +82,9 @@ class CrystalParams:
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Black-body reference temperature in kelvin. Defaults to the solar 5777 K."""
+    """Black-body reference temperature in kelvin."""
 
-    temperature: float = 5777.0
+    temperature: float
 
     def __post_init__(self):
         if not self.temperature > 0:

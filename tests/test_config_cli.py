@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import os
+import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pseudosun as ps
 from pseudosun.cli import main
-from pseudosun.config import example_config, parse_heralded
+from pseudosun import config as config_module
+from pseudosun.config import COMMANDS, example_config, parse_heralded
 
 SMALL_PDC = {
     "pump_freq": 25000.0,
@@ -19,6 +24,29 @@ SMALL_MOL = {
         {"energy": 18000.0, "dipole": 1.0},
         {"energy": 18500.0, "dipole": 1.0},
     ]
+}
+GRID = {"min": 1000.0, "max": 25000.0, "count": 16}
+SOLAR = {"temperature": 5777.0}
+SMALL_HERALDED = {
+    "molecule": SMALL_MOL,
+    "pdc": SMALL_PDC,
+    "herald_times": [10.0],
+    "method": "rect_approx",
+    "times": {"min": 0.0, "max": 20.0, "count": 101},
+}
+SMALL_FIT = {
+    "window": {"min": 15000.0, "max": 20000.0, "count": 101},
+    "thermal": SOLAR,
+    "initial": SMALL_PDC,
+    "free_params": ["entanglement_time", "gain"],
+    "bounds": {"entanglement_time": [0.5, 8.0], "gain": [0.01, 0.5]},
+    "max_iters": 200,
+}
+SMALL_EXACT = {
+    "molecule": SMALL_MOL,
+    "pdc": SMALL_PDC,
+    "method": "exact_quadrature",
+    "times": {"min": 0.0, "max": 40.0, "count": 401},
 }
 
 
@@ -68,14 +96,39 @@ class TestSpectrumCommand:
         assert np.all(np.diff(rows[:, 0]) > 0)
         assert (out / "fig1_spectrum.gp").exists()
 
-    def test_byte_identical_reruns(self, tmp_path):
-        config = str(example_config("fig1"))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["spectrum", "--config", config, "--out", str(out1)]) == 0
-        assert main(["spectrum", "--config", config, "--out", str(out2)]) == 0
-        assert (out1 / "fig1_spectrum.csv").read_bytes() == (
-            out2 / "fig1_spectrum.csv"
-        ).read_bytes()
+    @pytest.mark.parametrize(
+        "command, config, seed",
+        [
+            ("spectrum", "fig1", None),
+            ("fit", {"fit": SMALL_FIT}, None),
+            ("dynamics", "fig2", None),
+            ("heralded", "fig3a", None),
+            (
+                "heralded",
+                {
+                    "heralded": dict(
+                        SMALL_EXACT,
+                        herald_times=[10.0, 20.5],
+                        average={"samples": 8, "sampling": "random", "pad": 5.0},
+                    )
+                },
+                "7",
+            ),
+            ("coincidence", {"coincidence": dict(SMALL_EXACT, herald_time=20.0)}, None),
+        ],
+        ids=["fig1", "fit", "fig2", "fig3a", "exact-heralded-random-average", "exact-coincidence"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, command, config, seed):
+        if isinstance(config, str):
+            path = str(example_config(config))
+        else:
+            path = write_config(tmp_path / "config.json", config)
+        seed_args = [] if seed is None else ["--seed", seed]
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main([command, "--config", path, "--out", str(out), *seed_args]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert runs[0] and runs[0] == runs[1]
 
     def test_zero_frequency_window_rejected(self, tmp_path):
         payload = {
@@ -174,6 +227,13 @@ class TestBoundaryRejection:
         with pytest.raises(ps.ValidationError, match="heralded.average.pad"):
             parse_heralded(block)
 
+    def test_oversized_integer_literal_rejected(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        block = {"grid": dict(GRID, max="BIG"), "pdc": SMALL_PDC, "thermal": SOLAR}
+        path.write_text(json.dumps({"spectrum": block}).replace('"BIG"', "9" * 5000))
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
         path.write_text(
@@ -183,6 +243,86 @@ class TestBoundaryRejection:
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "duplicate key 'count'" in err
+
+    @pytest.mark.parametrize(
+        "command, block, message",
+        [
+            (
+                "spectrum",
+                {"grid": dict(GRID, max=1000.0), "pdc": SMALL_PDC, "thermal": SOLAR},
+                "spectrum.grid: FrequencyGrid: max",
+            ),
+            (
+                "spectrum",
+                {"grid": GRID, "pdc": dict(SMALL_PDC, gain=2.0), "thermal": SOLAR},
+                "spectrum.pdc: PdcParams: gain",
+            ),
+            (
+                "spectrum",
+                {"grid": dict(GRID, max=10**400), "pdc": SMALL_PDC, "thermal": SOLAR},
+                "spectrum.grid.max: must be finite",
+            ),
+            (
+                "dynamics",
+                small_dynamics_block(molecule={"levels": []}),
+                "dynamics.molecule: MolecularSystem",
+            ),
+            (
+                "dynamics",
+                small_dynamics_block(blackbody={"temperature": 0.0}),
+                "dynamics.blackbody: ThermalParams",
+            ),
+            (
+                "heralded",
+                dict(SMALL_HERALDED, herald_times=[float("nan")]),
+                "heralded.herald_times[0]: must be finite",
+            ),
+            (
+                "heralded",
+                dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0}),
+                "heralded.average: pad must be finite and at least the entanglement time",
+            ),
+            (
+                "coincidence",
+                {
+                    "molecule": SMALL_MOL,
+                    "pdc": SMALL_PDC,
+                    "herald_time": float("inf"),
+                    "times": {"min": 0.0, "max": 20.0, "count": 101},
+                },
+                "coincidence.herald_time: must be finite",
+            ),
+            ("fit", dict(SMALL_FIT, tol=float("nan")), "fit.tol: must be finite"),
+            (
+                "fit",
+                dict(SMALL_FIT, bounds={"entanglement_time": [8.0, 0.5], "gain": [0.01, 0.5]}),
+                "fit: FitProblem: bounds for 'entanglement_time'",
+            ),
+        ],
+        ids=[
+            "empty-grid",
+            "gain",
+            "huge-integer",
+            "no-levels",
+            "cold-blackbody",
+            "nan-herald",
+            "short-pad",
+            "infinite-herald",
+            "nan-tol",
+            "reversed-bounds",
+        ],
+    )
+    def test_rejection_names_path(self, command, block, message):
+        with pytest.raises(ps.ValidationError, match=re.escape(message)):
+            getattr(config_module, f"parse_{command}")(block)
+
+    def test_failing_command_writes_nothing(self, tmp_path, capsys):
+        block = dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0})
+        config = write_config(tmp_path / "her.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 2
+        assert "heralded.average" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_herald_times_rejected(self, tmp_path, capsys):
         block = {
@@ -211,6 +351,33 @@ def test_output_mode_follows_umask(tmp_path, umask, mode):
     written = sorted(out.iterdir())
     assert [p.name for p in written] == ["fig1_spectrum.csv", "fig1_spectrum.gp"]
     assert all(p.stat().st_mode & 0o777 == mode for p in written)
+
+
+def declared_keys(cls, prefix=""):
+    """(dotted key, required) for every JSON key of a config dataclass, nested ones included."""
+    hints = typing.get_type_hints(cls)
+    for declared in dataclasses.fields(cls):
+        if not declared.init:
+            continue
+        key = prefix + declared.name
+        yield key, declared.default is dataclasses.MISSING
+        kind = hints[declared.name]
+        for inner in (kind, *typing.get_args(kind)):
+            if dataclasses.is_dataclass(inner):
+                nested = "[]." if typing.get_origin(kind) is tuple else "."
+                yield from declared_keys(inner, key + nested)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_table_matches_config(command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split(f"`{command}`:\n\n")[1].split("\n\n")[0].splitlines()[2:]
+    documented = {}
+    for row in table:
+        cells = [cell.strip() for cell in row.strip("|").split(" | ")]
+        documented[cells[0].strip("`")] = cells[2] == "required"
+    parsed = typing.get_type_hints(getattr(config_module, f"parse_{command}"))["return"]
+    assert documented == dict(declared_keys(parsed))
 
 
 class TestDynamicsCommand:

@@ -340,6 +340,12 @@ class TestHeraldAveraging:
         with pytest.raises(ps.ValidationError):
             ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 4, sampling="sobol")
 
+    @pytest.mark.parametrize("samples", [float("nan"), float("inf"), 2.5])
+    def test_non_whole_sample_count_rejected(self, samples):
+        times = ps.TimeGrid(0.0, 20.0, 101)
+        with pytest.raises(ps.ValidationError, match="samples"):
+            ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, samples, method=RECT)
+
     @pytest.mark.parametrize("method", [RECT, EXACT])
     @pytest.mark.parametrize("pad", [float("nan"), float("inf")])
     def test_non_finite_pad_rejected(self, method, pad):
