@@ -22,7 +22,6 @@ from .numerics import (
     TimeGrid,
     angular_frequency,
     sinc,
-    trapezoid_integral,
 )
 from .pdc import (
     CrystalParams,
@@ -42,9 +41,7 @@ from .dynamics import (
     DensityTrajectory,
     MolecularSystem,
     NormalizationMode,
-    correlation_cw,
     evolve_unconditional,
-    evolve_under_blackbody,
     normalize_trajectory,
 )
 from .heralded import (
@@ -88,12 +85,10 @@ __all__ = [
     "angular_frequency",
     "average_over_heralds",
     "coincidence_signal",
-    "correlation_cw",
     "default_field_grid",
     "entanglement_time_from_crystal",
     "evolve_heralded",
     "evolve_unconditional",
-    "evolve_under_blackbody",
     "example_config",
     "fit_objective",
     "fit_pdc_to_thermal",
@@ -107,7 +102,6 @@ __all__ = [
     "squeeze_fraction",
     "squeeze_profile",
     "thermal_mean",
-    "trapezoid_integral",
     "vacuum_amplitude",
     "__version__",
 ]

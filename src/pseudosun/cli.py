@@ -224,10 +224,7 @@ def _run_coincidence(block: dict, seed: int | None) -> list[Callable]:
         config.times, config.herald_time, config.pdc, config.field_grid, config.method
     )
     signal = coincidence_signal(molecule, evolve_heralded(molecule, field))
-    scale = float(np.max(np.abs(signal)))
-    if not np.isfinite(scale) or scale <= 0:
-        raise NumericalError("coincidence: signal is zero or non-finite, cannot normalize")
-    rows = np.column_stack([config.times.points, signal / scale])
+    rows = np.column_stack([config.times.points, signal / np.max(np.abs(signal))])
     title = f"Coincidence signal, herald at {format_value(config.herald_time)} fs"
     return [_table(config.output, ["t_fs", "S"], rows, title)]
 

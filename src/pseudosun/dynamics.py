@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError, ValidationError
-from .numerics import FrequencyGrid, TimeGrid, angular_frequency, sinc, trapezoid_weights
-from .pdc import PhotonSpectrum, ThermalParams, thermal_mean
+from .numerics import TimeGrid, angular_frequency, sinc, trapezoid_weights
+from .pdc import PhotonSpectrum
 
 
 class NormalizationMode(enum.Enum):
@@ -126,19 +126,6 @@ def _amplitude_weight(spectrum: PhotonSpectrum, amplitude_ref: float | None) -> 
     return weights * (spectrum.grid.points / amplitude_ref) * spectrum.values
 
 
-def correlation_cw(
-    t2: float, t1: float, spectrum: PhotonSpectrum, amplitude_ref: float | None = None
-) -> complex:
-    """First-order field correlation at a pair of times for stationary light.
-
-    Frequency quadrature of exp(i*w*(t2 - t1)) times the coupling-weighted
-    mean photon number; Hermitian in its time arguments.
-    """
-    weight = _amplitude_weight(spectrum, amplitude_ref)
-    phases = np.exp(1j * angular_frequency(spectrum.grid.points) * (t2 - t1))
-    return complex(np.dot(weight, phases))
-
-
 def _window_kernel(theta: np.ndarray, t: float) -> np.ndarray:
     """Finite-window response (exp(i*theta*t) - 1)/(i*theta), via the exact sinc form."""
     half = 0.5 * theta * t
@@ -204,17 +191,6 @@ def evolve_unconditional(
     phase = np.exp(-1j * splitting * tpts[:, None, None])
     mu_outer = np.outer(mol.dipoles, mol.dipoles)
     return DensityTrajectory(times, mu_outer * phase * conj_overlaps)
-
-
-def evolve_under_blackbody(
-    mol: MolecularSystem,
-    thermal: ThermalParams,
-    grid: FrequencyGrid,
-    times: TimeGrid,
-    amplitude_ref: float | None = None,
-) -> DensityTrajectory:
-    """evolve_unconditional with the Bose-Einstein spectrum at the given temperature."""
-    return evolve_unconditional(mol, thermal_mean(grid, thermal), times, amplitude_ref)
 
 
 def normalize_trajectory(traj: DensityTrajectory, mode: NormalizationMode) -> DensityTrajectory:

@@ -12,9 +12,12 @@ one-photon wavepacket whose effective field is either
 The exact field F(t_k) = sum_n p_n exp(-i w_n (t_k - t_h)) is synthesized
 by one chirp-z transform (Bluestein's algorithm on numpy.fft), since both
 the frequencies and the times lie on uniform grids: O((N + T) log(N + T))
-time and O(N + T) memory for N frequencies and T times. A herald average
-builds the transform once and only changes its coefficients,
-p_n exp(i w_n t_h), from herald to herald.
+time and O(N + T) memory for N frequencies and T times. The transform runs
+over the steps k of the time grid; the herald enters only through its
+coefficients, p_n exp(i w_n (t_h - t_0)) with t_0 the first time. A single
+herald and a herald average take their field from one source, which picks
+the method and the frequency grid and builds the transform once, so the
+average is exactly the mean of the single-herald trajectories.
 
 Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
@@ -26,6 +29,7 @@ live here as well.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, frexp, isfinite, ldexp
 
@@ -90,13 +94,8 @@ class HeraldedTrajectory(DensityTrajectory):
         return float(np.max(second[nonzero] / leading[nonzero]))
 
 
-def default_field_grid(
-    params: PdcParams,
-    lobes: int = DEFAULT_FIELD_LOBES,
-    points_per_lobe: int = DEFAULT_POINTS_PER_LOBE,
-    time_span: float | None = None,
-) -> FrequencyGrid:
-    """Frequency window spanning the requested number of sinc lobes, clipped at 0.
+def default_field_grid(params: PdcParams, time_span: float | None = None) -> FrequencyGrid:
+    """Frequency window of DEFAULT_FIELD_LOBES sinc lobes each side, clipped at 0.
 
     A field sampled on a discrete frequency grid is periodic in time with
     period 1 / (c * spacing); when time_span is given the spacing is refined
@@ -104,9 +103,9 @@ def default_field_grid(
     the pulse well outside the window of interest.
     """
     lobe_width = 1.0 / (C_CM_PER_FS * params.entanglement_time)
-    lo = max(0.0, params.signal_center - lobes * lobe_width)
-    hi = params.signal_center + lobes * lobe_width
-    spacing = lobe_width / points_per_lobe
+    lo = max(0.0, params.signal_center - DEFAULT_FIELD_LOBES * lobe_width)
+    hi = params.signal_center + DEFAULT_FIELD_LOBES * lobe_width
+    spacing = lobe_width / DEFAULT_POINTS_PER_LOBE
     if time_span is not None and time_span > 0:
         spacing = min(spacing, 1.0 / (C_CM_PER_FS * 2.0 * time_span))
     count = ceil((hi - lo) / spacing) + 1
@@ -127,16 +126,33 @@ def heralded_field(
     """
     if not isfinite(herald_time):
         raise ValidationError(f"heralded_field: herald_time must be finite, got {herald_time}")
+    field_at = _field_source(times, params, grid, method, herald_time, herald_time)
+    return HeraldedField(times, herald_time, field_at(herald_time), method)
+
+
+def _field_source(
+    times: TimeGrid,
+    params: PdcParams,
+    grid: FrequencyGrid | None,
+    method: FieldMethod,
+    first: float,
+    last: float,
+) -> Callable[[float], np.ndarray]:
+    """The field on times as a function of the herald time, for heralds in [first, last].
+
+    The default exact grid resolves the largest herald-to-window distance.
+    """
     if method is FieldMethod.RECT_APPROX:
-        amplitudes = _rect_field(times.points - herald_time, params)
-    elif method is FieldMethod.EXACT_QUADRATURE:
-        if grid is None:
-            span = max(abs(times.max - herald_time), abs(herald_time - times.min))
-            grid = default_field_grid(params, time_span=span)
-        amplitudes = _exact_field(times, herald_time, params, grid)
-    else:
-        raise ValidationError(f"heralded_field: unknown method {method!r}")
-    return HeraldedField(times, herald_time, amplitudes, method)
+        points = times.points
+        return lambda herald_time: _rect_field(points - herald_time, params)
+    if method is not FieldMethod.EXACT_QUADRATURE:
+        raise ValidationError(f"unknown field method {method!r}")
+    if grid is None:
+        grid = default_field_grid(params, time_span=max(times.max - first, last - times.min))
+    profile = _field_profile(params, grid)
+    omega = angular_frequency(grid.points)
+    synthesize = _ChirpZ(grid, times.spacing, times.count)
+    return lambda herald_time: synthesize(profile * np.exp(1j * omega * (herald_time - times.min)))
 
 
 def _rect_field(delay: np.ndarray, params: PdcParams) -> np.ndarray:
@@ -150,37 +166,44 @@ def _rect_field(delay: np.ndarray, params: PdcParams) -> np.ndarray:
 
 
 class _ChirpZ:
-    """Field synthesizer F_k = sum_n c_n exp(-i w_n (tau0 + k dtau)), k < count.
+    """Field synthesizer F_k = sum_n c_n exp(-i w_n k dtau), k < count.
 
     w_n runs over the uniform grid, so with nk = (n^2 + k^2 - (k - n)^2) / 2
     the sum is a convolution with the chirp exp(i dw dtau m^2 / 2)
     (Bluestein's chirp-z transform). The chirps and the FFT of the kernel
     are built once at a power-of-two size >= N + count - 1; each call is
     then one FFT and one inverse FFT: O((N + T) log(N + T)) time and
-    O(N + T) memory.
+    O(N + T) memory. Both transforms run in place in one work buffer kept
+    across calls (so calls must not overlap): allocating and freeing
+    transform-sized arrays on every call made the allocator hand memory
+    back and fault it in again, and 512 calls at the figure sizes took
+    0.37 s instead of 0.27 s.
     """
 
-    def __init__(self, grid: FrequencyGrid, tau0: float, dtau: float, count: int):
-        n = np.arange(grid.count, dtype=float)
+    def __init__(self, grid: FrequencyGrid, dtau: float, count: int):
         k = np.arange(count, dtype=float)
-        m = n if grid.count >= count else k
+        m = np.arange(grid.count, dtype=float) if grid.count >= count else k
         step = C_CM_PER_FS * grid.spacing
         offset = C_CM_PER_FS * grid.min
         chirp = _phasor(0.5 * step * dtau, m * m)
         self.size = 1 << (grid.count + count - 2).bit_length()
         self.count = count
-        self.pre = _phasor(-step * tau0, n) * chirp[: grid.count].conj()
+        self.pre = chirp[: grid.count].conj()
         self.post = _phasor(-offset * dtau, k) * chirp[:count].conj()
-        self.post *= np.exp(-2j * np.pi * ((offset * tau0) % 1.0))
         kernel = np.zeros(self.size, dtype=complex)
         kernel[:count] = chirp[:count]
         kernel[self.size - grid.count + 1 :] = chirp[1 : grid.count][::-1]
         self.kernel = np.fft.fft(kernel)
+        self.work = np.empty(self.size, dtype=complex)
 
     def __call__(self, coefficients: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.fft(coefficients * self.pre, self.size)
-        spectrum *= self.kernel
-        return self.post * np.fft.ifft(spectrum)[: self.count]
+        work, n = self.work, self.pre.size
+        np.multiply(coefficients, self.pre, out=work[:n])
+        work[n:] = 0
+        np.fft.fft(work, out=work)
+        work *= self.kernel
+        np.fft.ifft(work, out=work)
+        return self.post * work[: self.count]
 
 
 def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:
@@ -200,13 +223,6 @@ def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * phase)
 
 
-def _exact_field(
-    times: TimeGrid, herald_time: float, params: PdcParams, grid: FrequencyGrid
-) -> np.ndarray:
-    synthesize = _ChirpZ(grid, times.min - herald_time, times.spacing, times.count)
-    return synthesize(_field_profile(params, grid))
-
-
 def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
     """Quadrature weights times the amplitude-weighted tanh of the squeeze profile."""
     nu = grid.points
@@ -223,16 +239,21 @@ def _level_phasors(mol: MolecularSystem, times: TimeGrid) -> np.ndarray:
     return np.exp(1j * np.outer(angular_frequency(mol.energies), times.points))
 
 
-def _single_excitation_amplitudes(
+def _rank_one(
     mol: MolecularSystem, times: TimeGrid, field_values: np.ndarray, phasors: np.ndarray
 ) -> np.ndarray:
-    """Level amplitudes (n_times, L) from a cumulative response to the field."""
-    driven = phasors * field_values[None, :]
-    increments = 0.5 * times.spacing * (driven[:, 1:] + driven[:, :-1])
-    cumulative = np.concatenate(
-        [np.zeros((mol.size, 1), dtype=complex), np.cumsum(increments, axis=1)], axis=1
-    )
-    return (mol.dipoles[:, None] * phasors.conj() * cumulative).T
+    """Outer products phi phi^dagger (n_times, L, L) of the level amplitudes phi.
+
+    phi is the dipole-weighted cumulative trapezoid response to the field.
+    Each step rebinds phi, so each temporary is freed as soon as the next
+    one exists. Holding every step until the end made the 512-herald
+    average page-fault on every herald, about 1.5x slower.
+    """
+    phi = phasors * field_values[None, :]
+    phi = 0.5 * times.spacing * (phi[:, 1:] + phi[:, :-1])
+    phi = np.concatenate([np.zeros((mol.size, 1), dtype=complex), np.cumsum(phi, axis=1)], axis=1)
+    phi = (mol.dipoles[:, None] * phasors.conj() * phi).T
+    return phi[:, :, None] * phi.conj()[:, None, :]
 
 
 def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> HeraldedTrajectory:
@@ -246,8 +267,7 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> HeraldedTraje
             f"evolve_heralded: times must start at or after 0, got {field.times.min}"
         )
     phasors = _level_phasors(mol, field.times)
-    phi = _single_excitation_amplitudes(mol, field.times, field.amplitudes, phasors)
-    matrices = phi[:, :, None] * phi.conj()[:, None, :]
+    matrices = _rank_one(mol, field.times, field.amplitudes, phasors)
     return HeraldedTrajectory(field.times, matrices, herald_time=field.herald_time)
 
 
@@ -341,25 +361,11 @@ def average_over_heralds(
     else:
         herald_times = np.linspace(lo, hi, int(herald_samples))
 
-    tpts = times.points
-    if method is FieldMethod.EXACT_QUADRATURE:
-        if grid is None:
-            grid = default_field_grid(params, time_span=hi - times.min)
-        profile = _field_profile(params, grid)
-        omega = angular_frequency(grid.points)
-        # One synthesizer for all heralds, which change only its coefficients.
-        synthesize = _ChirpZ(grid, times.min, times.spacing, times.count)
-        fields = (synthesize(profile * np.exp(1j * omega * h)) for h in herald_times)
-    elif method is FieldMethod.RECT_APPROX:
-        fields = (_rect_field(tpts - h, params) for h in herald_times)
-    else:
-        raise ValidationError(f"average_over_heralds: unknown method {method!r}")
-
+    field_at = _field_source(times, params, grid, method, lo, hi)
     phasors = _level_phasors(mol, times)
     total = np.zeros((times.count, mol.size, mol.size), dtype=complex)
-    for field_values in fields:
-        phi = _single_excitation_amplitudes(mol, times, field_values, phasors)
-        total += phi[:, :, None] * phi.conj()[:, None, :]
+    for herald_time in herald_times:
+        total += _rank_one(mol, times, field_at(herald_time), phasors)
     return DensityTrajectory(times, total / len(herald_times))
 
 
@@ -368,11 +374,15 @@ def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> n
 
     Real by Hermiticity (constant prefactors are left to output
     normalization), so the real part is returned. Raises NumericalError when
-    the imaginary residue exceeds 1e-10 times the largest |real part|, which
-    means the trajectory is not Hermitian.
+    the largest |real part| is zero or not finite, or when the imaginary
+    residue exceeds 1e-10 times it, which means the trajectory is not
+    Hermitian.
     """
     mu = mol.dipoles
     raw = np.einsum("a,tab,b->t", mu, trajectory.matrices, mu)
-    if np.max(np.abs(raw.imag)) > 1e-10 * np.max(np.abs(raw.real)):
+    scale = np.max(np.abs(raw.real))
+    if not (np.isfinite(scale) and scale > 0):
+        raise NumericalError(f"coincidence: signal peak is zero or non-finite ({scale})")
+    if not np.max(np.abs(raw.imag)) <= 1e-10 * scale:
         raise NumericalError("coincidence: signal has a non-negligible imaginary part")
     return raw.real

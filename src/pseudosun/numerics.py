@@ -49,57 +49,47 @@ def sinc(x):
     return out
 
 
-def _validate_grid(min_val: float, max_val: float, count: int, kind: str) -> None:
-    if not (np.isfinite(min_val) and np.isfinite(max_val)):
-        raise ValidationError(f"{kind}: endpoints must be finite")
-    if not max_val > min_val:
-        raise ValidationError(f"{kind}: max ({max_val}) must exceed min ({min_val})")
-    if int(count) != count or count < 2:
-        raise ValidationError(f"{kind}: count must be an integer >= 2, got {count}")
-
-
 @dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform, endpoint-inclusive wavenumber grid in cm^-1 with min >= 0."""
+class _UniformGrid:
+    """Uniform, endpoint-inclusive grid; errors are prefixed with the concrete class name."""
 
     min: float
     max: float
     count: int
 
     def __post_init__(self):
-        _validate_grid(self.min, self.max, self.count, "FrequencyGrid")
+        kind = type(self).__name__
+        if not (np.isfinite(self.min) and np.isfinite(self.max)):
+            raise ValidationError(f"{kind}: endpoints must be finite")
+        if not self.max > self.min:
+            raise ValidationError(f"{kind}: max ({self.max}) must exceed min ({self.min})")
+        if int(self.count) != self.count or self.count < 2:
+            raise ValidationError(f"{kind}: count must be an integer >= 2, got {self.count}")
+
+    @property
+    def spacing(self) -> float:
+        return (self.max - self.min) / (self.count - 1)
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.linspace(self.min, self.max, self.count)
+
+
+@dataclass(frozen=True)
+class FrequencyGrid(_UniformGrid):
+    """Uniform, endpoint-inclusive wavenumber grid in cm^-1 with min >= 0."""
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.min < 0:
             raise ValidationError(
                 f"FrequencyGrid: negative frequencies are rejected (min = {self.min})"
             )
 
-    @property
-    def spacing(self) -> float:
-        return (self.max - self.min) / (self.count - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.count)
-
 
 @dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_UniformGrid):
     """Uniform, endpoint-inclusive time grid in fs."""
-
-    min: float
-    max: float
-    count: int
-
-    def __post_init__(self):
-        _validate_grid(self.min, self.max, self.count, "TimeGrid")
-
-    @property
-    def spacing(self) -> float:
-        return (self.max - self.min) / (self.count - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.count)
 
 
 def trapezoid_weights(count: int, spacing: float) -> np.ndarray:
@@ -108,16 +98,3 @@ def trapezoid_weights(count: int, spacing: float) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def trapezoid_integral(samples, grid: FrequencyGrid | TimeGrid):
-    """Composite trapezoid estimate of the integral of sampled values over a grid.
-
-    Raises ValidationError when the sample count does not match the grid.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 1 or samples.shape[0] != grid.count:
-        raise ValidationError(
-            f"trapezoid_integral: expected {grid.count} samples, got shape {samples.shape}"
-        )
-    return np.trapezoid(samples, dx=grid.spacing)

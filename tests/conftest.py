@@ -24,7 +24,8 @@ def fig2_pdc_trajectory():
 
 @pytest.fixture(scope="session")
 def fig2_blackbody_trajectory():
-    return ps.evolve_under_blackbody(TWO_LEVEL, SOLAR, DYN_GRID, TIMES_100, amplitude_ref=AMP_REF)
+    spectrum = ps.thermal_mean(DYN_GRID, SOLAR)
+    return ps.evolve_unconditional(TWO_LEVEL, spectrum, TIMES_100, amplitude_ref=AMP_REF)
 
 
 def structural_checks(traj, heralded=False):

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the closed forms used by the package:
 the mean photon number is summed from the probability mass function, the
-density-matrix evolution is a direct double-time quadrature of the field
-correlation function, the exact heralded field is a dense T x N phase-matrix
-sum (and the same sum through scipy's chirp-z transform), and the
-coincidence quadratic form is an explicit double loop.
+field correlation function is a direct frequency sum, the density-matrix
+evolution is a direct double-time quadrature of that correlation, the
+exact heralded field is a dense T x N phase-matrix sum (and the same sum
+through scipy's chirp-z transform), and the coincidence quadratic form is
+an explicit double loop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pseudosun import (
     PdcParams,
     PhotonSpectrum,
     TimeGrid,
-    correlation_cw,
     squeeze_profile,
 )
 from pseudosun.numerics import angular_frequency, trapezoid_weights
@@ -34,6 +34,23 @@ def pmf_mean(zeta: float, n_max: int) -> float:
 def pmf_tail(zeta: float, n_max: int) -> float:
     """Mass of the geometric law beyond n_max."""
     return zeta ** (n_max + 1)
+
+
+def coupling_weight(spectrum: PhotonSpectrum, amplitude_ref: float) -> np.ndarray:
+    """Trapezoid weight times nu / amplitude_ref times the mean photon number."""
+    grid = spectrum.grid
+    weights = trapezoid_weights(grid.count, grid.spacing)
+    return weights * (grid.points / amplitude_ref) * spectrum.values
+
+
+def correlation_cw(t2: float, t1: float, spectrum: PhotonSpectrum, amplitude_ref: float) -> complex:
+    """First-order field correlation of stationary light at a pair of times.
+
+    Frequency sum of exp(i w (t2 - t1)) times the coupling-weighted mean
+    photon number; Hermitian in its time arguments.
+    """
+    phases = np.exp(1j * angular_frequency(spectrum.grid.points) * (t2 - t1))
+    return complex(np.dot(coupling_weight(spectrum, amplitude_ref), phases))
 
 
 def evolve_by_double_quadrature(
@@ -57,11 +74,7 @@ def evolve_by_double_quadrature(
 
     # Correlation table G(k * dt) on the difference lattice, spot-checked
     # against correlation_cw below so the table provably matches it.
-    weight = (
-        trapezoid_weights(spectrum.grid.count, spectrum.grid.spacing)
-        * (spectrum.grid.points / amplitude_ref)
-        * spectrum.values
-    )
+    weight = coupling_weight(spectrum, amplitude_ref)
     omega = angular_frequency(spectrum.grid.points)
     lags = np.arange(n_lattice + 1) * dt
     table = np.empty(n_lattice + 1, dtype=complex)

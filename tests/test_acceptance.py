@@ -94,8 +94,8 @@ def test_criterion_4_unconditional_dynamics_behaviors():
     with criterion(4, "unconditional dynamics vs black-body", 60.0):
         spectrum = ps.mean_photon_number(DYN_GRID, REF_PDC)
         pdc_traj = ps.evolve_unconditional(TWO_LEVEL, spectrum, TIMES_100, amplitude_ref=AMP_REF)
-        bb_traj = ps.evolve_under_blackbody(
-            TWO_LEVEL, SOLAR, DYN_GRID, TIMES_100, amplitude_ref=AMP_REF
+        bb_traj = ps.evolve_unconditional(
+            TWO_LEVEL, ps.thermal_mean(DYN_GRID, SOLAR), TIMES_100, amplitude_ref=AMP_REF
         )
         t = TIMES_100.points
 

@@ -513,6 +513,16 @@ class TestCoincidenceCommand:
         assert np.all(rows[t < 18.0, 1] == 0.0)
         assert np.all(np.abs(rows[t > 22.0, 1] - 1.0) < 1e-9)
 
+    def test_zero_signal_is_numerical_failure(self, tmp_path, capsys):
+        dark = {"levels": [{"energy": 18000.0, "dipole": 0.0}]}
+        block = dict(SMALL_HERALDED, herald_time=10.0, molecule=dark)
+        del block["herald_times"]
+        config = write_config(tmp_path / "coin.json", {"coincidence": block})
+        out = tmp_path / "run"
+        assert main(["coincidence", "--config", config, "--out", str(out)]) == 3
+        assert "zero or non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shipped_configs_all_parse(self):
         from pseudosun.config import (
             command_block,

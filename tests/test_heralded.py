@@ -23,7 +23,6 @@ from oracles import (
     dense_field,
     field_profile,
     quadratic_form_by_loops,
-    relative_frobenius,
 )
 
 RECT = ps.FieldMethod.RECT_APPROX
@@ -306,16 +305,20 @@ class TestHeraldAveraging:
         want = b.matrices[window, 0, 0].real
         assert np.max(np.abs(got - want) / want) < 0.05
 
-    def test_exact_average_matches_single_herald_loop(self):
-        times = ps.TimeGrid(0.0, 40.0, 801)
+    @pytest.mark.parametrize("method", [RECT, EXACT], ids=["rect", "exact"])
+    @pytest.mark.parametrize("start", [0.0, 7.5], ids=["start0", "start7.5"])
+    def test_average_matches_single_herald_loop(self, method, start):
+        # One field source and one rank-one builder serve both paths, so the
+        # average is the mean of single-herald trajectories bit for bit.
+        times = ps.TimeGrid(start, 40.0, 801)
         pad = REF_PDC.entanglement_time
-        grid = ps.default_field_grid(REF_PDC, time_span=times.max + pad)
-        averaged = ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 9, method=EXACT)
+        grid = ps.default_field_grid(REF_PDC, time_span=times.max - times.min + pad)
+        averaged = ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 9, method=method)
         total = np.zeros_like(averaged.matrices)
-        for herald_time in np.linspace(-pad, times.max + pad, 9):
-            field = ps.heralded_field(times, herald_time, REF_PDC, grid=grid, method=EXACT)
+        for herald_time in np.linspace(times.min - pad, times.max + pad, 9):
+            field = ps.heralded_field(times, herald_time, REF_PDC, grid=grid, method=method)
             total += ps.evolve_heralded(TWO_LEVEL, field).matrices
-        assert relative_frobenius(averaged.matrices, total / 9) <= 1e-12
+        assert np.array_equal(averaged.matrices, total / 9)
 
     def test_random_sampling_seeded(self):
         times = ps.TimeGrid(0.0, 20.0, 101)
@@ -377,6 +380,13 @@ class TestCoincidence:
         skew = np.array([[1.0, 0.5j], [0.5j, 1.0]])
         traj = ps.DensityTrajectory(times, np.stack([skew] * times.count))
         with pytest.raises(ps.NumericalError, match="imaginary"):
+            ps.coincidence_signal(TWO_LEVEL, traj)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0], ids=["nan", "inf", "zero"])
+    def test_zero_or_non_finite_signal_rejected(self, value):
+        times = ps.TimeGrid(0.0, 1.0, 3)
+        traj = ps.DensityTrajectory(times, np.full((times.count, 2, 2), value))
+        with pytest.raises(ps.NumericalError, match="zero or non-finite"):
             ps.coincidence_signal(TWO_LEVEL, traj)
 
     def test_degenerate_pair_quadruples_single(self):
