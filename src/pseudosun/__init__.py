@@ -47,7 +47,6 @@ from .dynamics import (
 from .heralded import (
     FieldMethod,
     HeraldedField,
-    HeraldedTrajectory,
     average_over_heralds,
     coincidence_signal,
     default_field_grid,
@@ -71,7 +70,6 @@ __all__ = [
     "FitResult",
     "FrequencyGrid",
     "HeraldedField",
-    "HeraldedTrajectory",
     "MolecularSystem",
     "NormalizationError",
     "NormalizationMode",

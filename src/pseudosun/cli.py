@@ -97,7 +97,7 @@ def _table(name: str, columns: list[str], rows: np.ndarray, title: str, extra=()
         raise NumericalError(f"{name}: non-finite values in output")
 
     def write(out_dir: Path, header: list[str]) -> None:
-        write_csv(out_dir / name, header, columns, rows, extra_header=list(extra))
+        write_csv(out_dir / name, header + list(extra), columns, rows)
         write_gnuplot((out_dir / name).with_suffix(".gp"), name, columns, title)
 
     return write

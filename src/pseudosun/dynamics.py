@@ -23,14 +23,17 @@ the kernel every fixed number of steps, so rounding cannot accumulate over
 long grids; the two agree to about 1e-15 relative. The direct double-time
 quadrature is kept in the test suite as an independent oracle.
 
-Raw trajectories carry arbitrary overall scale; figures and comparisons use
-normalize_trajectory, which rescales a whole trajectory by one positive
-number so a chosen reference entry peaks at 1.
+DensityTrajectory is the one trajectory type: the unheralded trajectories
+here, and the heralded and herald-averaged ones of the heralded module. It
+carries the three health metrics, the Hermiticity defect, the minimum
+eigenvalue and the rank-one defect (zero for a single herald, large for an
+average). Raw trajectories carry arbitrary overall scale; figures and
+comparisons use normalize_trajectory, which rescales a whole trajectory by
+one positive number so a chosen reference entry peaks at 1.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -64,6 +67,8 @@ class MolecularSystem:
                 )
             if not np.isfinite(dipole):
                 raise ValidationError(f"MolecularSystem: dipoles must be finite, got {dipole}")
+        if not any(dipole for _, dipole in levels):
+            raise ValidationError("MolecularSystem: at least one dipole must be nonzero")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -85,7 +90,6 @@ class DensityTrajectory:
 
     times: TimeGrid
     matrices: np.ndarray
-    normalization: NormalizationMode = NormalizationMode.RAW
 
     def __post_init__(self):
         matrices = np.asarray(self.matrices, dtype=complex)
@@ -110,6 +114,16 @@ class DensityTrajectory:
         """Smallest eigenvalue of the Hermitian part over the trajectory."""
         sym = 0.5 * (self.matrices + self.matrices.conj().transpose(0, 2, 1))
         return float(np.min(np.linalg.eigvalsh(sym)))
+
+    def rank1_defect(self) -> float:
+        """Largest ratio of second to leading eigenvalue over the trajectory."""
+        eigenvalues = np.linalg.eigvalsh(self.matrices)
+        leading = eigenvalues[:, -1]
+        second = np.abs(eigenvalues[:, :-1]).max(axis=1) if self.dim > 1 else np.zeros_like(leading)
+        nonzero = leading > 0
+        if not np.any(nonzero):
+            return 0.0
+        return float(np.max(second[nonzero] / leading[nonzero]))
 
 
 def _amplitude_weight(spectrum: PhotonSpectrum, amplitude_ref: float | None) -> np.ndarray:
@@ -218,6 +232,4 @@ def normalize_trajectory(traj: DensityTrajectory, mode: NormalizationMode) -> De
         raise NormalizationError(
             f"normalize_trajectory: reference maximum is not positive ({reference})"
         )
-    # dataclasses.replace keeps the concrete type, so heralded trajectories
-    # stay heralded (and keep their herald time) through normalization.
-    return dataclasses.replace(traj, matrices=traj.matrices / reference, normalization=mode)
+    return DensityTrajectory(traj.times, traj.matrices / reference)

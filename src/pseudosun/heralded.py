@@ -21,9 +21,11 @@ average is exactly the mean of the single-herald trajectories.
 
 Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
-exactly rank one. The long-time closed form, the impulsive (zero-duration)
-limit, herald-time averaging, and the two-photon coincidence observable
-live here as well.
+exactly rank one. It is returned as a plain dynamics.DensityTrajectory, like
+the herald average and the unheralded trajectory, so the rank-one defect is
+read the same way on all three. The long-time closed form, the impulsive
+(zero-duration) limit, herald-time averaging, and the two-photon
+coincidence observable live here as well.
 """
 
 from __future__ import annotations
@@ -64,9 +66,7 @@ class HeraldedField:
     """Complex effective-field samples on a time grid for one herald time."""
 
     times: TimeGrid
-    herald_time: float
     amplitudes: np.ndarray
-    method: FieldMethod
 
     def __post_init__(self):
         amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -75,23 +75,6 @@ class HeraldedField:
                 f"HeraldedField: expected {self.times.count} amplitudes, got {amplitudes.shape}"
             )
         object.__setattr__(self, "amplitudes", amplitudes)
-
-
-@dataclass(frozen=True)
-class HeraldedTrajectory(DensityTrajectory):
-    """Rank-one density trajectory conditioned on one herald time."""
-
-    herald_time: float = 0.0
-
-    def rank1_defect(self) -> float:
-        """Largest ratio of second to leading eigenvalue over the trajectory."""
-        eigenvalues = np.linalg.eigvalsh(self.matrices)
-        leading = eigenvalues[:, -1]
-        second = np.abs(eigenvalues[:, :-1]).max(axis=1) if self.dim > 1 else np.zeros_like(leading)
-        nonzero = leading > 0
-        if not np.any(nonzero):
-            return 0.0
-        return float(np.max(second[nonzero] / leading[nonzero]))
 
 
 def default_field_grid(params: PdcParams, time_span: float | None = None) -> FrequencyGrid:
@@ -127,7 +110,7 @@ def heralded_field(
     if not isfinite(herald_time):
         raise ValidationError(f"heralded_field: herald_time must be finite, got {herald_time}")
     field_at = _field_source(times, params, grid, method, herald_time, herald_time)
-    return HeraldedField(times, herald_time, field_at(herald_time), method)
+    return HeraldedField(times, field_at(herald_time))
 
 
 def _field_source(
@@ -256,7 +239,7 @@ def _rank_one(
     return phi[:, :, None] * phi.conj()[:, None, :]
 
 
-def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> HeraldedTrajectory:
+def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajectory:
     """Rank-one trajectory driven by a heralded one-photon field.
 
     Populations sit at 0 before the pulse and stay constant after it;
@@ -268,7 +251,7 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> HeraldedTraje
         )
     phasors = _level_phasors(mol, field.times)
     matrices = _rank_one(mol, field.times, field.amplitudes, phasors)
-    return HeraldedTrajectory(field.times, matrices, herald_time=field.herald_time)
+    return DensityTrajectory(field.times, matrices)
 
 
 def long_time_closed_form(

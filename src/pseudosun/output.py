@@ -33,8 +33,12 @@ def metadata_lines(version: str, command: str, block: dict, seed: int | None) ->
     ]
 
 
+#: Format of every number written: 17 significant digits give back the exact float64.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_value(x) -> str:
-    return f"{float(x):.17g}"
+    return FLOAT_FORMAT % float(x)
 
 
 def _umask() -> int:
@@ -63,21 +67,16 @@ def _write_atomic(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}")
 
 
-def write_csv(
-    path: Path,
-    header_lines: list[str],
-    columns: list[str],
-    rows: np.ndarray,
-    extra_header: list[str] | None = None,
-) -> None:
-    """Write a CSV with metadata comments, a header row, and numeric rows."""
-    lines = list(header_lines)
-    if extra_header:
-        lines.extend(extra_header)
-    lines.append(",".join(columns))
+def write_csv(path: Path, header_lines: list[str], columns: list[str], rows: np.ndarray) -> None:
+    """Write a CSV with metadata comments, a header row, and numeric rows.
+
+    One %-format pass per row. Rows become Python floats one at a time, so
+    the table is never held as Python objects all at once.
+    """
     data = np.atleast_2d(np.asarray(rows))
-    for row in data:
-        lines.append(",".join(format_value(v) for v in row))
+    row_format = ",".join([FLOAT_FORMAT] * data.shape[1])
+    lines = [*header_lines, ",".join(columns)]
+    lines.extend(row_format % tuple(row.tolist()) for row in data)
     _write_atomic(Path(path), "\n".join(lines) + "\n")
 
 

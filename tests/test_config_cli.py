@@ -316,6 +316,27 @@ class TestBoundaryRejection:
         with pytest.raises(ps.ValidationError, match=re.escape(message)):
             getattr(config_module, f"parse_{command}")(block)
 
+    @pytest.mark.parametrize("command", ["dynamics", "heralded", "coincidence"])
+    def test_dark_molecule_is_bad_input(self, tmp_path, capsys, command):
+        dark = {
+            "levels": [
+                {"energy": 18000.0, "dipole": 0.0},
+                {"energy": 18500.0, "dipole": 0.0},
+            ]
+        }
+        if command == "dynamics":
+            block = small_dynamics_block(molecule=dark)
+        else:
+            block = dict(SMALL_HERALDED, molecule=dark)
+        if command == "coincidence":
+            block["herald_time"] = block.pop("herald_times")[0]
+        config = write_config(tmp_path / "dark.json", {command: block})
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}.molecule: MolecularSystem: at least one dipole")
+        assert not out.exists()
+
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
         block = dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0})
         config = write_config(tmp_path / "her.json", {"heralded": block})
@@ -514,8 +535,8 @@ class TestCoincidenceCommand:
         assert np.all(np.abs(rows[t > 22.0, 1] - 1.0) < 1e-9)
 
     def test_zero_signal_is_numerical_failure(self, tmp_path, capsys):
-        dark = {"levels": [{"energy": 18000.0, "dipole": 0.0}]}
-        block = dict(SMALL_HERALDED, herald_time=10.0, molecule=dark)
+        # The rect pulse at 1000 fs never reaches the 0-20 fs window.
+        block = dict(SMALL_HERALDED, herald_time=1000.0)
         del block["herald_times"]
         config = write_config(tmp_path / "coin.json", {"coincidence": block})
         out = tmp_path / "run"

@@ -61,6 +61,37 @@ class TestTypes:
             ps.DensityTrajectory(times, np.zeros((3, 2, 3), dtype=complex))
 
 
+def constant_trajectory(matrix):
+    times = ps.TimeGrid(0.0, 1.0, 3)
+    return ps.DensityTrajectory(times, np.stack([np.asarray(matrix, dtype=complex)] * times.count))
+
+
+def fig3a_rect_average():
+    rect = ps.FieldMethod.RECT_APPROX
+    return ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, TIMES_100, 64, method=rect)
+
+
+def fig3a_rect_herald():
+    field = ps.heralded_field(TIMES_100, 50.0, REF_PDC, method=ps.FieldMethod.RECT_APPROX)
+    return ps.evolve_heralded(TWO_LEVEL, field)
+
+
+@pytest.mark.parametrize(
+    "build, metric, low, high",
+    [
+        (lambda: constant_trajectory([[1, 0.5j], [0.5j, 1]]), "hermiticity_defect", 1.0, 1.0),
+        (lambda: constant_trajectory(np.diag([1.0, -0.25])), "min_eigenvalue", -0.25, -0.25),
+        (lambda: constant_trajectory(np.diag([1.0, 0.5])), "rank1_defect", 0.5, 0.5),
+        (fig3a_rect_average, "rank1_defect", 0.1, np.inf),
+        (fig3a_rect_herald, "rank1_defect", 0.0, 1e-10),
+    ],
+    ids=["skew-hermitian", "negative-eigenvalue", "rank-two", "herald-average", "single-herald"],
+)
+def test_health_metric_reads_defect(build, metric, low, high):
+    """Each health metric reports the defect it was built to catch, on plain trajectories."""
+    assert low <= getattr(build(), metric)() <= high
+
+
 class TestCorrelation:
     def test_equal_times_gives_weighted_mass(self):
         spectrum = small_spectrum()
