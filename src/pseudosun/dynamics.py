@@ -10,18 +10,31 @@ a single frequency quadrature of
     J_level(nu, t) = (exp(i*(w - w_level)*t) - 1) / (i*(w - w_level))
                    = t * exp(i*theta*t/2) * sinc(theta*t/2),
 
-with theta = w - w_level. The sinc form is exact and has no singular
-branch. On a uniform time grid the kernel is not recomputed from it at
-every step but advanced by the exact recurrence
+with theta = w - w_level: entry (a, b) needs the frequency sum of
+weight * conj(J_a) * J_b at every time. The sum is split by detuning.
 
-    J(t + dt) = J(t) + exp(i*theta*t) * J(dt)
-              = exp(i*theta*dt) * J(t) + J(dt)
+- Far from every level (|theta| >= 0.1 rad/fs, about 530 cm^-1) and from
+  t = 10 fs on, the product has the closed form
+  [exp(i(eps_a - eps_b)t) + 1 - exp(-i theta_a t) - exp(i theta_b t)] /
+  (theta_a theta_b), so the sum is a constant plus level phases times one
+  Fourier sum of real coefficients on the uniform frequency grid. One
+  chirp-z transform per level pair (numerics._ChirpZ, the synthesizer of
+  the heralded field too) evaluates it at every time: O(L^2 (N + T)
+  log(N + T)) work instead of O(L N T).
+- Near a level, and at every bin before 10 fs, those four terms cancel, so
+  the sinc form is kept: on the uniform time grid it is advanced by the
+  exact recurrence
 
-(the second line uses exp(i*theta*t) = 1 + i*theta*J(t)), one product and
-one sum over the (L, N) kernel per step. The direct sinc form re-anchors
-the kernel every fixed number of steps, so rounding cannot accumulate over
-long grids; the two agree to about 1e-15 relative. The direct double-time
-quadrature is kept in the test suite as an independent oracle.
+      J(t + dt) = J(t) + exp(i*theta*t) * J(dt)
+                = exp(i*theta*dt) * J(t) + J(dt)
+
+  (the second line uses exp(i*theta*t) = 1 + i*theta*J(t)), one product
+  and one sum per step, and recomputed from the direct sinc form every
+  fixed number of steps, so rounding cannot accumulate over long grids.
+
+Both parts agree with the direct sinc form at every time to about 2e-15
+relative. The direct double-time quadrature is kept in the test suite as an
+independent oracle.
 
 DensityTrajectory is the one trajectory type: the unheralded trajectories
 here, and the heralded and herald-averaged ones of the heralded module. It
@@ -40,7 +53,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError, ValidationError
-from .numerics import TimeGrid, angular_frequency, sinc, trapezoid_weights
+from .numerics import (
+    FrequencyGrid,
+    TimeGrid,
+    _ChirpZ,
+    angular_frequency,
+    sinc,
+    trapezoid_weights,
+)
 from .pdc import PhotonSpectrum
 
 
@@ -149,6 +169,11 @@ def _window_kernel(theta: np.ndarray, t: float) -> np.ndarray:
 #: Time steps between direct-form recomputations of the recurrence kernel.
 _ANCHOR_STEPS = 256
 
+#: Detuning in rad/fs (about 530 cm^-1) below which the pairwise Fourier form
+#: cancels too much: bins this close to some level, and every bin before
+#: 1/_NEAR_THETA fs, go through the recurrence instead.
+_NEAR_THETA = 0.1
+
 
 def evolve_unconditional(
     mol: MolecularSystem,
@@ -161,15 +186,14 @@ def evolve_unconditional(
     Populations grow linearly once t exceeds the inverse spectral bandwidth;
     coherences between levels a and b rotate at their splitting.
 
-    The window kernel K(theta, t) is stepped along the uniform time grid by
-    the exact recurrence K(t + dt) = exp(i*theta*dt) * K(t) + K(theta, dt).
-    Every _ANCHOR_STEPS steps, starting at the first time, the kernel is
-    recomputed from the direct sinc form, which bounds rounding drift on any
-    grid length and keeps the t = 0 matrix exactly zero. On the fig2 grids,
-    for both the source and the 5777 K black-body spectrum, the trajectory
-    differs from one built with the direct form at every step by at most
-    5.8e-16 in relative Frobenius norm, and no entry by more than 1.8e-15 of
-    the largest entry.
+    The frequency sums sum_n w_n conj(K_a,n) K_b,n of the window kernel are
+    split by detuning. Bins within _NEAR_THETA of some level are summed by
+    the anchored recurrence at every time; the other bins by the recurrence
+    before t = 1/_NEAR_THETA, and from there on by one chirp-z transform per
+    level pair (see _fourier_overlaps). On the fig2 grids, for both the
+    source and the 5777 K black-body spectrum, the trajectory differs from
+    one built with the direct sinc form at every step by at most 2.2e-15 in
+    relative Frobenius norm per time, and the t = 0 matrix is exactly zero.
     """
     if times.min < 0:
         raise ValidationError(
@@ -178,33 +202,104 @@ def evolve_unconditional(
     weight = _amplitude_weight(spectrum, amplitude_ref)
     level_ang = angular_frequency(mol.energies)
     theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
-    tpts = times.points
+    far = np.all(np.abs(theta) >= _NEAR_THETA, axis=0)
+    early = int(np.count_nonzero(times.points < 1.0 / _NEAR_THETA))
+
+    # conj_overlaps[k, a, b] = sum_n weight_n * conj(K_a,n) * K_b,n at times[k]
+    conj_overlaps = _stepped_overlaps(theta[:, ~far], weight[~far], times, times.count)
+    conj_overlaps[:early] += _stepped_overlaps(theta[:, far], weight[far], times, early)
+    fourier = _fourier_overlaps(theta[:, far], weight[far], far, level_ang, spectrum.grid, times)
+    conj_overlaps[early:] += fourier[early:]
+
+    splitting = level_ang[:, None] - level_ang[None, :]
+    phase = np.exp(-1j * splitting * times.points[:, None, None])
+    mu_outer = np.outer(mol.dipoles, mol.dipoles)
+    return DensityTrajectory(times, mu_outer * phase * conj_overlaps)
+
+
+def _stepped_overlaps(
+    theta: np.ndarray, weight: np.ndarray, times: TimeGrid, count: int
+) -> np.ndarray:
+    """The frequency sums over the given bins at the first count times, by recurrence.
+
+    The window kernel is stepped along the uniform time grid by the exact
+    recurrence K(t + dt) = exp(i*theta*dt) * K(t) + K(theta, dt). Every
+    _ANCHOR_STEPS steps, starting at the first time, it is recomputed from
+    the direct sinc form, which bounds rounding drift on any grid length and
+    keeps the t = 0 sums exactly zero.
+    """
+    levels = theta.shape[0]
+    overlaps = np.zeros((count, levels, levels), dtype=complex)
+    if theta.shape[1] == 0:
+        return overlaps
     step = _window_kernel(theta, times.spacing)
     rot = np.exp(1j * theta * times.spacing)
-
     # The kernel and one scratch buffer are reused at every step: a fresh
     # (L, N) array would cost an allocation and page faults each time.
     kernel = np.empty_like(step)
     scratch = np.empty_like(step)
-    # conj_overlaps[k, a, b] = sum_n weight_n * conj(K_a,n) * K_b,n at times[k]
-    conj_overlaps = np.empty((times.count, mol.size, mol.size), dtype=complex)
-    for k, t in enumerate(tpts):
+    for k, t in enumerate(times.points[:count]):
         if k % _ANCHOR_STEPS == 0:
             # Row by row, so the temporaries of the direct form are one
             # level long; this keeps the peak resident set down.
-            for level in range(mol.size):
+            for level in range(levels):
                 kernel[level] = _window_kernel(theta[level], t)
         else:
             kernel *= rot
             kernel += step
         np.conjugate(kernel, out=scratch)
         scratch *= weight
-        conj_overlaps[k] = scratch @ kernel.T
+        overlaps[k] = scratch @ kernel.T
+    return overlaps
 
-    splitting = level_ang[:, None] - level_ang[None, :]
-    phase = np.exp(-1j * splitting * tpts[:, None, None])
-    mu_outer = np.outer(mol.dipoles, mol.dipoles)
-    return DensityTrajectory(times, mu_outer * phase * conj_overlaps)
+
+def _fourier_overlaps(
+    theta: np.ndarray,
+    weight: np.ndarray,
+    far: np.ndarray,
+    level_ang: np.ndarray,
+    grid: FrequencyGrid,
+    times: TimeGrid,
+) -> np.ndarray:
+    """The sums over the far bins at every time, one chirp-z transform per level pair a <= b.
+
+    With theta_a,n = w_n - eps_a the summand has the closed form
+
+        conj(K_a) K_b = [exp(i(eps_a - eps_b)t) + 1 - exp(-i theta_a t)
+                         - exp(i theta_b t)] / (theta_a theta_b),
+
+    so with real c_n = weight_n / (theta_a,n theta_b,n) and the Fourier sum
+    F(t) = sum_n c_n exp(-i w_n t) the pair's sum is
+
+        C (exp(i(eps_a - eps_b)t) + 1) - exp(i eps_a t) F - exp(-i eps_b t) conj(F),
+
+    C = sum_n c_n. theta and weight hold the far bins only, those at least
+    _NEAR_THETA from every level, which far marks on the grid. The first
+    time is folded into the coefficients, and entry (b, a) is the conjugate
+    of entry (a, b). The four terms cancel where |theta t| is small, so the
+    caller keeps the rows from t = 1/_NEAR_THETA on. There each term, at
+    most 1/_NEAR_THETA^2 <= t^2 in size, is no larger than the scale of the
+    sum.
+    """
+    levels = theta.shape[0]
+    shift = np.exp(-1j * angular_frequency(grid.points[far]) * times.min)
+    level_phase = np.exp(1j * np.outer(times.points, level_ang))
+    synthesize = _ChirpZ(grid, times.spacing, times.count)
+    coefficients = np.zeros(grid.count, dtype=complex)
+    overlaps = np.empty((times.count, levels, levels), dtype=complex)
+    for a in range(levels):
+        for b in range(a, levels):
+            c = weight / (theta[a] * theta[b])
+            coefficients[far] = c * shift
+            fourier = synthesize(coefficients)
+            into_a, out_of_b = level_phase[:, a], level_phase[:, b].conj()
+            overlaps[:, a, b] = (
+                c.sum() * (into_a * out_of_b + 1.0)
+                - into_a * fourier
+                - out_of_b * fourier.conj()
+            )
+            overlaps[:, b, a] = overlaps[:, a, b].conj()
+    return overlaps
 
 
 def normalize_trajectory(traj: DensityTrajectory, mode: NormalizationMode) -> DensityTrajectory:

@@ -10,9 +10,10 @@ one-photon wavepacket whose effective field is either
   value one half at exactly +/- half the duration.
 
 The exact field F(t_k) = sum_n p_n exp(-i w_n (t_k - t_h)) is synthesized
-by one chirp-z transform (Bluestein's algorithm on numpy.fft), since both
-the frequencies and the times lie on uniform grids: O((N + T) log(N + T))
-time and O(N + T) memory for N frequencies and T times. The transform runs
+by one chirp-z transform (Bluestein's algorithm on numpy.fft, the
+numerics._ChirpZ synthesizer that the unconditional dynamics use too), since
+both the frequencies and the times lie on uniform grids: O((N + T) log(N +
+T)) time and O(N + T) memory for N frequencies and T times. The transform runs
 over the steps k of the time grid; the herald enters only through its
 coefficients, p_n exp(i w_n (t_h - t_0)) with t_0 the first time. A single
 herald and a herald average take their field from one source, which picks
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import ceil, frexp, isfinite, ldexp
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .numerics import (
     C_CM_PER_FS,
     FrequencyGrid,
     TimeGrid,
+    _ChirpZ,
     angular_frequency,
     sinc,
     trapezoid_weights,
@@ -146,64 +148,6 @@ def _rect_field(delay: np.ndarray, params: PdcParams) -> np.ndarray:
     height = params.gain / (C_CM_PER_FS * params.entanglement_time)
     carrier = np.exp(-1j * angular_frequency(params.signal_center) * delay)
     return height * box * carrier
-
-
-class _ChirpZ:
-    """Field synthesizer F_k = sum_n c_n exp(-i w_n k dtau), k < count.
-
-    w_n runs over the uniform grid, so with nk = (n^2 + k^2 - (k - n)^2) / 2
-    the sum is a convolution with the chirp exp(i dw dtau m^2 / 2)
-    (Bluestein's chirp-z transform). The chirps and the FFT of the kernel
-    are built once at a power-of-two size >= N + count - 1; each call is
-    then one FFT and one inverse FFT: O((N + T) log(N + T)) time and
-    O(N + T) memory. Both transforms run in place in one work buffer kept
-    across calls (so calls must not overlap): allocating and freeing
-    transform-sized arrays on every call made the allocator hand memory
-    back and fault it in again, and 512 calls at the figure sizes took
-    0.37 s instead of 0.27 s.
-    """
-
-    def __init__(self, grid: FrequencyGrid, dtau: float, count: int):
-        k = np.arange(count, dtype=float)
-        m = np.arange(grid.count, dtype=float) if grid.count >= count else k
-        step = C_CM_PER_FS * grid.spacing
-        offset = C_CM_PER_FS * grid.min
-        chirp = _phasor(0.5 * step * dtau, m * m)
-        self.size = 1 << (grid.count + count - 2).bit_length()
-        self.count = count
-        self.pre = chirp[: grid.count].conj()
-        self.post = _phasor(-offset * dtau, k) * chirp[:count].conj()
-        kernel = np.zeros(self.size, dtype=complex)
-        kernel[:count] = chirp[:count]
-        kernel[self.size - grid.count + 1 :] = chirp[1 : grid.count][::-1]
-        self.kernel = np.fft.fft(kernel)
-        self.work = np.empty(self.size, dtype=complex)
-
-    def __call__(self, coefficients: np.ndarray) -> np.ndarray:
-        work, n = self.work, self.pre.size
-        np.multiply(coefficients, self.pre, out=work[:n])
-        work[n:] = 0
-        np.fft.fft(work, out=work)
-        work *= self.kernel
-        np.fft.ifft(work, out=work)
-        return self.post * work[: self.count]
-
-
-def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:
-    """exp(2 pi i turns steps) for whole-number steps >= 0, whole turns removed exactly.
-
-    The chirp phase grows as m^2, far past where radians keep their last
-    digits. turns is split into a head short enough that head * steps is
-    exact in float64, so its whole turns drop out exactly, and a tail small
-    enough that tail * steps stays accurate.
-    """
-    bits = 52 - int(steps[-1]).bit_length()
-    exponent = frexp(turns)[1]
-    head = ldexp(round(ldexp(turns, bits - exponent)), exponent - bits)
-    phase = head * steps
-    phase -= np.floor(phase)
-    phase += (turns - head) * steps
-    return np.exp(2j * np.pi * phase)
 
 
 def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:

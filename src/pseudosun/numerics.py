@@ -1,4 +1,4 @@
-"""Unit conventions, uniform grids, and quadrature shared by every module.
+"""Unit conventions, uniform grids, quadrature and the chirp-z Fourier-sum synthesizer.
 
 Conventions used throughout the package:
 
@@ -9,12 +9,16 @@ Conventions used throughout the package:
 
 All quadrature is composite trapezoid on uniform, endpoint-inclusive grids;
 integrals over frequency use the cm^-1 measure (constant 2*pi*c factors are
-absorbed into output normalization).
+absorbed into output normalization). A Fourier sum sum_n c_n exp(-i w_n t)
+over a uniform frequency grid, wanted at every point of a uniform time grid,
+is one chirp-z transform (_ChirpZ), for the heralded field and the
+unconditional dynamics alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -37,13 +41,18 @@ def angular_frequency(wavenumber):
 def sinc(x):
     """Unnormalized sinc, sin(x)/x, total on the reals.
 
-    Below |x| = 1e-4 the Taylor form 1 - x^2/6 + x^4/120 is used so the
-    removable singularity never touches a division.
+    Below |x| = 1e-4 the Taylor form 1 - x^2/6 + x^4/120 replaces the
+    quotient, so the removable singularity never touches a division. The
+    quotient is formed once, in place, and the Taylor form only on the
+    entries it replaces: the result takes one array of x's size, plus the
+    boolean mask.
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SINC_TAYLOR_CUTOFF
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
+    out = np.sin(x, out=np.empty_like(x))
+    np.divide(out, x, out=out, where=~small)
+    tiny = x[small]
+    out[small] = 1.0 - tiny * tiny / 6.0 + tiny**4 / 120.0
     if out.ndim == 0:
         return float(out)
     return out
@@ -98,3 +107,77 @@ def trapezoid_weights(count: int, spacing: float) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a transform length numpy.fft handles at full speed."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+class _ChirpZ:
+    """Fourier-sum synthesizer F_k = sum_n c_n exp(-i w_n k dtau), k < count.
+
+    w_n runs over the uniform grid, so with nk = (n^2 + k^2 - (k - n)^2) / 2
+    the sum is a convolution with the chirp exp(i dw dtau m^2 / 2)
+    (Bluestein's chirp-z transform). The chirps and the FFT of the kernel
+    are built once, at the smallest 2-3-5-smooth size >= N + count - 1; each
+    call is then one FFT and one inverse FFT: O((N + T) log(N + T)) time and
+    O(N + T) memory. On a 2-core Xeon box a smooth size was as fast as the
+    fastest of its smooth neighbours and up to 1.7x faster than the next
+    power of two. Both transforms run in place in one work buffer kept
+    across calls (so calls must not overlap): allocating and freeing
+    transform-sized arrays on every call made the allocator hand memory
+    back and fault it in again, and 512 calls at the figure sizes took
+    0.37 s instead of 0.27 s. The heralded field and the unconditional
+    dynamics both synthesize their sums here.
+    """
+
+    def __init__(self, grid: FrequencyGrid, dtau: float, count: int):
+        k = np.arange(count, dtype=float)
+        m = np.arange(grid.count, dtype=float) if grid.count >= count else k
+        step = C_CM_PER_FS * grid.spacing
+        offset = C_CM_PER_FS * grid.min
+        chirp = _phasor(0.5 * step * dtau, m * m)
+        self.size = _fft_length(grid.count + count - 1)
+        self.count = count
+        self.pre = chirp[: grid.count].conj()
+        self.post = _phasor(-offset * dtau, k) * chirp[:count].conj()
+        kernel = np.zeros(self.size, dtype=complex)
+        kernel[:count] = chirp[:count]
+        kernel[self.size - grid.count + 1 :] = chirp[1 : grid.count][::-1]
+        self.kernel = np.fft.fft(kernel)
+        self.work = np.empty(self.size, dtype=complex)
+
+    def __call__(self, coefficients: np.ndarray) -> np.ndarray:
+        work, n = self.work, self.pre.size
+        np.multiply(coefficients, self.pre, out=work[:n])
+        work[n:] = 0
+        np.fft.fft(work, out=work)
+        work *= self.kernel
+        np.fft.ifft(work, out=work)
+        return self.post * work[: self.count]
+
+
+def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:
+    """exp(2 pi i turns steps) for whole-number steps >= 0, whole turns removed exactly.
+
+    The chirp phase grows as m^2, far past where radians keep their last
+    digits. turns is split into a head short enough that head * steps is
+    exact in float64, so its whole turns drop out exactly, and a tail small
+    enough that tail * steps stays accurate.
+    """
+    bits = 52 - int(steps[-1]).bit_length()
+    exponent = frexp(turns)[1]
+    head = ldexp(round(ldexp(turns, bits - exponent)), exponent - bits)
+    phase = head * steps
+    phase -= np.floor(phase)
+    phase += (turns - head) * steps
+    return np.exp(2j * np.pi * phase)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pseudosun as ps
-from pseudosun.dynamics import _ANCHOR_STEPS, _amplitude_weight, _window_kernel
+from pseudosun.dynamics import _ANCHOR_STEPS, _NEAR_THETA, _amplitude_weight, _window_kernel
 from pseudosun.numerics import C_CM_PER_FS, angular_frequency
 
 from conftest import (
@@ -226,6 +226,68 @@ class TestRecurrenceKernel:
         want = evolve_by_direct_kernel(TWO_LEVEL, spectrum, times, AMP_REF)
         assert relative_frobenius(got, want) <= 1e-12
         # exactly zero at turn-on, nowhere zero on a grid that starts later
+        assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
+
+
+def near_far_split(mol, spectrum, times):
+    """Bins within _NEAR_THETA of some level, bins beyond it, and rows before 1/_NEAR_THETA."""
+    level_ang = angular_frequency(mol.energies)
+    theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
+    near = int(np.count_nonzero(np.any(np.abs(theta) < _NEAR_THETA, axis=0)))
+    early = int(np.count_nonzero(times.points < 1.0 / _NEAR_THETA))
+    return near, spectrum.grid.count - near, early
+
+
+FIVE_LEVEL = ps.MolecularSystem(
+    ((15400.0, 0.8), (16700.0, -0.5), (18000.0, 1.0), (19300.0, 0.3), (20700.0, 0.9))
+)
+TIMES_80 = ps.TimeGrid(0.0, 80.0, 801)
+
+
+class TestNearFarSplit:
+    """Recurrence near the levels and early, chirp-z pair sums elsewhere, vs the direct form."""
+
+    # name: (molecule, spectrum, times, any of (near bins, far bins, early rows, late rows))
+    CASES = {
+        "five_levels": (FIVE_LEVEL, small_spectrum(321), TIMES_80, (True, True, True, True)),
+        "no_near_bins": (
+            ps.MolecularSystem(((10000.0, 1.0), (10500.0, 0.6))),
+            small_spectrum(161),
+            TIMES_80,
+            (False, True, True, True),
+        ),
+        "all_near": (
+            TWO_LEVEL,
+            ps.mean_photon_number(ps.FrequencyGrid(17800.0, 18700.0, 46), REF_PDC),
+            TIMES_80,
+            (True, False, True, True),
+        ),
+        "early_only": (
+            TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 9.5, 191), (True, True, True, False)
+        ),
+        "late_start": (
+            TWO_LEVEL, small_spectrum(161), ps.TimeGrid(12.0, 92.0, 801), (True, True, False, True)
+        ),
+        "blackbody": (
+            TWO_LEVEL,
+            ps.thermal_mean(ps.FrequencyGrid(15000.0, 21000.0, 161), ps.ThermalParams(5777.0)),
+            TIMES_80,
+            (True, True, True, True),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_grids_cover_their_cases(self, name):
+        mol, spectrum, times, expected = self.CASES[name]
+        near, far, early = near_far_split(mol, spectrum, times)
+        assert (near > 0, far > 0, early > 0, early < times.count) == expected
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_direct_kernel(self, name):
+        mol, spectrum, times, _ = self.CASES[name]
+        got = ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices
+        want = evolve_by_direct_kernel(mol, spectrum, times, AMP_REF)
+        assert relative_frobenius(got, want) <= 1e-12
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
 
 

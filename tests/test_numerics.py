@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pseudosun import FrequencyGrid, TimeGrid, ValidationError, sinc
-from pseudosun.numerics import C_CM_PER_FS, angular_frequency, trapezoid_weights
+from pseudosun.numerics import C_CM_PER_FS, _fft_length, angular_frequency, trapezoid_weights
 
 from conftest import rng
 
@@ -106,9 +107,47 @@ class TestSinc:
         below, above = 0.9999e-4, 1.0001e-4
         assert abs(sinc(below) - sinc(above)) < 1e-12
 
+    def test_matches_two_branch_form_bit_for_bit(self):
+        # the earlier form, which built both branches over the whole array
+        x = np.concatenate(
+            [[0.0, 3e-5, -3e-5, 0.9999e-4, -1e-4, 1e-4], np.linspace(-3e-4, 3e-4, 6001)]
+        )
+        x = np.concatenate([x, rng().uniform(-200.0, 200.0, size=4000)])
+        small = np.abs(x) < 1e-4
+        safe = np.where(small, 1.0, x)
+        want = np.where(small, 1.0 - x * x / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
+        assert np.array_equal(sinc(x), want)
+        assert all(sinc(v) == w for v, w in zip(x[:6], want[:6]))
+
+    def test_memory_stays_within_three_arrays(self):
+        # N of the default exact-field grid at a 5,000 fs span
+        x = np.linspace(-50.0, 50.0, 203599)
+        tracemalloc.start()
+        try:
+            sinc(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes
+
     def test_array_shape_and_scalar_type(self):
         assert isinstance(sinc(0.3), float)
         assert sinc(np.array([0.0, math.pi / 2])).shape == (2,)
+
+
+def test_fft_length_is_smallest_5_smooth():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for n in range(1, 1500):
+        length = _fft_length(n)
+        assert smooth(length) and length >= n
+        assert not any(smooth(m) for m in range(n, length))
+    # the herald_exact, fig2 and 5,000 fs exact-span transforms
+    assert [_fft_length(n) for n in (6175, 10192, 205599)] == [6250, 10240, 207360]
 
 
 def test_angular_frequency_convention():
