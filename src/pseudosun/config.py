@@ -166,11 +166,6 @@ def _read_block(cls, value, where: str):
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _check_start(times: TimeGrid) -> None:
-    if times.min < 0:
-        raise _RuleError("times.min: must be >= 0 (light switches on at t = 0)")
-
-
 @dataclass(frozen=True)
 class Level:
     energy: float
@@ -189,12 +184,29 @@ class Molecule:
         object.__setattr__(self, "system", MolecularSystem(levels))
 
 
+def _check_thermal_grid(grid: FrequencyGrid) -> None:
+    if not grid.min > 0:
+        raise _RuleError(f"grid.min: must be > 0 for a black-body spectrum, got {grid.min}")
+
+
+def _check_normalization(molecule: Molecule, mode: NormalizationMode) -> None:
+    """Every off-diagonal entry is proportional to mu_a mu_b, so two levels must be bright."""
+    bright = sum(1 for level in molecule.levels if level.dipole)
+    if mode is NormalizationMode.MAX_REPART_OFFDIAG and bright < 2:
+        raise _RuleError(
+            f"normalization: max_repart_offdiag needs two levels with nonzero dipoles, got {bright}"
+        )
+
+
 @dataclass(frozen=True)
 class SpectrumConfig:
     grid: FrequencyGrid
     pdc: PdcParams
     thermal: ThermalParams
     output: str = "spectrum.csv"
+
+    def __post_init__(self):
+        _check_thermal_grid(self.grid)
 
 
 def parse_spectrum(block: dict) -> SpectrumConfig:
@@ -240,18 +252,31 @@ def parse_fit(block: dict) -> FitConfig:
 
 
 @dataclass(frozen=True)
-class DynamicsConfig:
+class _TrajectoryConfig:
+    """The keys every trajectory command shares, and the switch-on rule."""
+
     molecule: Molecule
     pdc: PdcParams
-    grid: FrequencyGrid
     times: TimeGrid
+
+    def __post_init__(self):
+        if self.times.min < 0:
+            raise _RuleError("times.min: must be >= 0 (light switches on at t = 0)")
+
+
+@dataclass(frozen=True)
+class DynamicsConfig(_TrajectoryConfig):
+    grid: FrequencyGrid
     blackbody: ThermalParams | None = None
     normalization: NormalizationMode = NormalizationMode.MAX_REPART_OFFDIAG
     output: str = "dynamics_pdc.csv"
     blackbody_output: str = "dynamics_blackbody.csv"
 
     def __post_init__(self):
-        _check_start(self.times)
+        super().__post_init__()
+        _check_normalization(self.molecule, self.normalization)
+        if self.blackbody is not None:
+            _check_thermal_grid(self.grid)
 
 
 def parse_dynamics(block: dict) -> DynamicsConfig:
@@ -268,11 +293,8 @@ class AverageSpec:
 
 
 @dataclass(frozen=True)
-class HeraldedConfig:
-    molecule: Molecule
-    pdc: PdcParams
+class HeraldedConfig(_TrajectoryConfig):
     herald_times: tuple[float, ...]
-    times: TimeGrid
     method: FieldMethod = FieldMethod.RECT_APPROX
     field_grid: FrequencyGrid | None = None
     normalization: NormalizationMode = NormalizationMode.MAX_DIAG
@@ -285,11 +307,11 @@ class HeraldedConfig:
             raise _RuleError("herald_times: must list at least one herald time")
         if len(set(self.herald_times)) != len(self.herald_times):
             raise _RuleError(f"herald_times: duplicate herald times in {list(self.herald_times)}")
-        _check_start(self.times)
+        super().__post_init__()
+        _check_normalization(self.molecule, self.normalization)
         if self.average is not None:
-            spec = self.average
             try:
-                herald_pad(self.pdc, spec.samples, spec.pad, spec.sampling)
+                herald_pad(self.pdc, **vars(self.average))
             except ValidationError as exc:
                 raise _RuleError(f"average: {exc}") from None
 
@@ -299,17 +321,11 @@ def parse_heralded(block: dict) -> HeraldedConfig:
 
 
 @dataclass(frozen=True)
-class CoincidenceConfig:
-    molecule: Molecule
-    pdc: PdcParams
+class CoincidenceConfig(_TrajectoryConfig):
     herald_time: float
-    times: TimeGrid
     method: FieldMethod = FieldMethod.RECT_APPROX
     field_grid: FrequencyGrid | None = None
     output: str = "coincidence.csv"
-
-    def __post_init__(self):
-        _check_start(self.times)
 
 
 def parse_coincidence(block: dict) -> CoincidenceConfig:

@@ -160,6 +160,17 @@ def _amplitude_weight(spectrum: PhotonSpectrum, amplitude_ref: float | None) -> 
     return weights * (spectrum.grid.points / amplitude_ref) * spectrum.values
 
 
+def _check_switch_on(times: TimeGrid, caller: str) -> None:
+    """Reject a time grid starting before the light switches on at t = 0."""
+    if times.min < 0:
+        raise ValidationError(f"{caller}: times must start at or after 0, got {times.min}")
+
+
+def _level_phasors(mol: MolecularSystem, times: TimeGrid) -> np.ndarray:
+    """exp(i eps_a t) for every level a and time t, shape (L, n_times)."""
+    return np.exp(1j * np.outer(angular_frequency(mol.energies), times.points))
+
+
 def _window_kernel(theta: np.ndarray, t: float) -> np.ndarray:
     """Finite-window response (exp(i*theta*t) - 1)/(i*theta), via the exact sinc form."""
     half = 0.5 * theta * t
@@ -195,10 +206,7 @@ def evolve_unconditional(
     one built with the direct sinc form at every step by at most 2.2e-15 in
     relative Frobenius norm per time, and the t = 0 matrix is exactly zero.
     """
-    if times.min < 0:
-        raise ValidationError(
-            f"evolve_unconditional: times must start at or after 0, got {times.min}"
-        )
+    _check_switch_on(times, "evolve_unconditional")
     weight = _amplitude_weight(spectrum, amplitude_ref)
     level_ang = angular_frequency(mol.energies)
     theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
@@ -208,7 +216,7 @@ def evolve_unconditional(
     # conj_overlaps[k, a, b] = sum_n weight_n * conj(K_a,n) * K_b,n at times[k]
     conj_overlaps = _stepped_overlaps(theta[:, ~far], weight[~far], times, times.count)
     conj_overlaps[:early] += _stepped_overlaps(theta[:, far], weight[far], times, early)
-    fourier = _fourier_overlaps(theta[:, far], weight[far], far, level_ang, spectrum.grid, times)
+    fourier = _fourier_overlaps(theta[:, far], weight[far], far, mol, spectrum.grid, times)
     conj_overlaps[early:] += fourier[early:]
 
     splitting = level_ang[:, None] - level_ang[None, :]
@@ -257,7 +265,7 @@ def _fourier_overlaps(
     theta: np.ndarray,
     weight: np.ndarray,
     far: np.ndarray,
-    level_ang: np.ndarray,
+    mol: MolecularSystem,
     grid: FrequencyGrid,
     times: TimeGrid,
 ) -> np.ndarray:
@@ -283,7 +291,7 @@ def _fourier_overlaps(
     """
     levels = theta.shape[0]
     shift = np.exp(-1j * angular_frequency(grid.points[far]) * times.min)
-    level_phase = np.exp(1j * np.outer(times.points, level_ang))
+    phasors = _level_phasors(mol, times)
     synthesize = _ChirpZ(grid, times.spacing, times.count)
     coefficients = np.zeros(grid.count, dtype=complex)
     overlaps = np.empty((times.count, levels, levels), dtype=complex)
@@ -292,7 +300,7 @@ def _fourier_overlaps(
             c = weight / (theta[a] * theta[b])
             coefficients[far] = c * shift
             fourier = synthesize(coefficients)
-            into_a, out_of_b = level_phase[:, a], level_phase[:, b].conj()
+            into_a, out_of_b = phasors[a], phasors[b].conj()
             overlaps[:, a, b] = (
                 c.sum() * (into_a * out_of_b + 1.0)
                 - into_a * fourier
@@ -306,18 +314,16 @@ def normalize_trajectory(traj: DensityTrajectory, mode: NormalizationMode) -> De
     """Rescale a whole trajectory by one positive real so the reference peaks at 1.
 
     MAX_REPART_OFFDIAG references the real part of the off-diagonal entries,
-    MAX_DIAG the diagonal entries; both take the maximum over the trajectory.
-    RAW returns the trajectory unchanged.
+    MAX_DIAG the diagonal entries; both take the maximum over the trajectory
+    and raise NormalizationError unless it is positive, as for a single level,
+    which has no off-diagonal entries (their maximum is -inf). RAW returns the
+    trajectory unchanged.
     """
     if mode is NormalizationMode.RAW:
         return traj
     if mode is NormalizationMode.MAX_REPART_OFFDIAG:
-        if traj.dim < 2:
-            raise NormalizationError(
-                "normalize_trajectory: no off-diagonal entries in a single-level system"
-            )
         mask = ~np.eye(traj.dim, dtype=bool)
-        reference = float(np.max(traj.matrices.real[:, mask]))
+        reference = float(np.max(traj.matrices.real[:, mask], initial=-np.inf))
     elif mode is NormalizationMode.MAX_DIAG:
         diag = np.diagonal(traj.matrices.real, axis1=1, axis2=2)
         reference = float(np.max(diag))

@@ -48,7 +48,7 @@ from .numerics import (
     sinc,
     trapezoid_weights,
 )
-from .dynamics import DensityTrajectory, MolecularSystem
+from .dynamics import DensityTrajectory, MolecularSystem, _check_switch_on, _level_phasors
 from .pdc import PdcParams, squeeze_profile, vacuum_amplitude
 
 #: Default integration window for the exact field: this many sinc lobes on
@@ -161,11 +161,6 @@ def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
     )
 
 
-def _level_phasors(mol: MolecularSystem, times: TimeGrid) -> np.ndarray:
-    """exp(i eps_a t) for every level a and time t, shape (L, n_times)."""
-    return np.exp(1j * np.outer(angular_frequency(mol.energies), times.points))
-
-
 def _rank_one(
     mol: MolecularSystem, times: TimeGrid, field_values: np.ndarray, phasors: np.ndarray
 ) -> np.ndarray:
@@ -189,13 +184,9 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajec
     Populations sit at 0 before the pulse and stay constant after it;
     coherences keep rotating at the level splittings.
     """
-    if field.times.min < 0:
-        raise ValidationError(
-            f"evolve_heralded: times must start at or after 0, got {field.times.min}"
-        )
+    _check_switch_on(field.times, "evolve_heralded")
     phasors = _level_phasors(mol, field.times)
-    matrices = _rank_one(mol, field.times, field.amplitudes, phasors)
-    return DensityTrajectory(field.times, matrices)
+    return DensityTrajectory(field.times, _rank_one(mol, field.times, field.amplitudes, phasors))
 
 
 def long_time_closed_form(
@@ -275,10 +266,7 @@ def average_over_heralds(
         pad = herald_pad(params, herald_samples, pad, sampling)
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
-    if times.min < 0:
-        raise ValidationError(
-            f"average_over_heralds: times must start at or after 0, got {times.min}"
-        )
+    _check_switch_on(times, "average_over_heralds")
     lo, hi = times.min - pad, times.max + pad
     if sampling == "random":
         rng = np.random.default_rng(seed)

@@ -3,9 +3,11 @@
 Every CSV starts with '#'-prefixed metadata lines carrying the tool version,
 the command, the SHA-256 of the exact (canonicalized) config block, and the
 seed, followed by a plain header row and RFC-4180-style rows with 17
-significant digits. Files are written atomically (temp file then rename) so
-a crashed run never leaves a truncated output behind, with the permissions
-the process umask gives a newly created file.
+significant digits. Every file goes through write_text, which writes a temp
+file beside the target and renames it over the target, so a crashed run never
+leaves a truncated output behind. The temp file is created by os.open with
+mode 0666, and the kernel clears the bits of the process umask, as for any
+new file (0644 under umask 022); the rename keeps that mode.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,27 +42,19 @@ def format_value(x) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-def _write_atomic(path: Path, text: str) -> None:
+def write_text(path: Path, text: str) -> None:
+    """Write text to path atomically, creating its directory if needed."""
     path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, prefix=f".{path.name}.", delete=False, encoding="utf-8"
-        )
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with handle:
+            with open(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            # The temp file is created 0600 and the rename keeps that mode.
-            os.chmod(handle.name, 0o666 & ~_umask())
-            os.replace(handle.name, path)
+            os.replace(temp, path)
         except OSError:
-            os.unlink(handle.name)
+            os.unlink(temp)
             raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}")
@@ -77,11 +70,7 @@ def write_csv(path: Path, header_lines: list[str], columns: list[str], rows: np.
     row_format = ",".join([FLOAT_FORMAT] * data.shape[1])
     lines = [*header_lines, ",".join(columns)]
     lines.extend(row_format % tuple(row.tolist()) for row in data)
-    _write_atomic(Path(path), "\n".join(lines) + "\n")
-
-
-def write_text(path: Path, text: str) -> None:
-    _write_atomic(Path(path), text)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_gnuplot(path: Path, csv_name: str, columns: list[str], title: str) -> None:
@@ -100,4 +89,4 @@ def write_gnuplot(path: Path, csv_name: str, columns: list[str], title: str) -> 
             "pause -1",
         ]
     )
-    _write_atomic(Path(path), script + "\n")
+    write_text(path, script + "\n")

@@ -337,6 +337,64 @@ class TestBoundaryRejection:
         assert err.startswith(f"error: {command}.molecule: MolecularSystem: at least one dipole")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dynamics", "heralded"])
+    def test_one_bright_level_offdiag_normalization_is_bad_input(self, tmp_path, capsys, command):
+        # Every off-diagonal entry is proportional to mu_a mu_b, so all of them are zero.
+        one_bright = {
+            "levels": [
+                {"energy": 18000.0, "dipole": 1.0},
+                {"energy": 18500.0, "dipole": 0.0},
+            ]
+        }
+        if command == "dynamics":
+            block = small_dynamics_block(molecule=one_bright)
+        else:
+            block = dict(SMALL_HERALDED, molecule=one_bright, normalization="max_repart_offdiag")
+        config = write_config(tmp_path / "bright.json", {command: block})
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}.normalization: max_repart_offdiag needs two")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dynamics", "heralded", "coincidence"])
+    def test_negative_start_names_path(self, tmp_path, capsys, command):
+        times = {"min": -1.0, "max": 20.0, "count": 101}
+        if command == "dynamics":
+            block = small_dynamics_block(times=times)
+        else:
+            block = dict(SMALL_HERALDED, times=times)
+        if command == "coincidence":
+            block["herald_time"] = block.pop("herald_times")[0]
+        config = write_config(tmp_path / "early.json", {command: block})
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}.times.min: must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    def test_zero_frequency_blackbody_grid_names_path(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        grid = {"min": 0.0, "max": 25000.0, "count": 2048}
+        if command == "spectrum":
+            block = {"grid": grid, "pdc": SMALL_PDC, "thermal": SOLAR}
+        else:
+            # Without a black body the grid may reach 0: only the source spectrum is sampled.
+            config_module.parse_dynamics(small_dynamics_block(grid=grid))
+            block = small_dynamics_block(grid=grid, blackbody=SOLAR)
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the config was checked")
+
+        monkeypatch.setattr("pseudosun.cli.mean_photon_number", no_compute)
+        config = write_config(tmp_path / "zero.json", {command: block})
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {command}.grid.min: must be > 0")
+        assert not out.exists()
+
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
         block = dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0})
         config = write_config(tmp_path / "her.json", {"heralded": block})
@@ -372,6 +430,25 @@ def test_output_mode_follows_umask(tmp_path, umask, mode):
     written = sorted(out.iterdir())
     assert [p.name for p in written] == ["fig1_spectrum.csv", "fig1_spectrum.gp"]
     assert all(p.stat().st_mode & 0o777 == mode for p in written)
+
+
+def test_output_needs_no_umask_call(tmp_path, monkeypatch):
+    def no_umask(mask):
+        raise AssertionError("os.umask changes the mask of every thread in the process")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    out = tmp_path / "run"
+    assert main(["spectrum", "--config", str(example_config("fig1")), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fig1_spectrum.csv", "fig1_spectrum.gp"]
+
+
+def test_unwritable_target_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "fig1_spectrum.csv").mkdir(parents=True)
+    assert main(["spectrum", "--config", str(example_config("fig1")), "--out", str(out)]) == 4
+    assert "cannot write" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["fig1_spectrum.csv"]
+    assert (out / "fig1_spectrum.csv").is_dir()
 
 
 def declared_keys(cls, prefix=""):
@@ -444,12 +521,13 @@ class TestDynamicsCommand:
         _, header, _ = read_csv(out / "dynamics_pdc.csv")
         assert header == ["t_fs", "re_rho_11", "im_rho_11"]
 
-    def test_single_level_offdiag_normalization_is_numerical_error(self, tmp_path):
+    def test_single_level_offdiag_normalization_is_bad_input(self, tmp_path, capsys):
         block = small_dynamics_block(
             molecule={"levels": [{"energy": 18000.0, "dipole": 1.0}]}
         )
         config = write_config(tmp_path / "dyn.json", {"dynamics": block})
-        assert main(["dynamics", "--config", config, "--out", str(tmp_path)]) == 3
+        assert main(["dynamics", "--config", config, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: dynamics.normalization: ")
 
     def test_negative_time_grid_rejected(self, tmp_path):
         block = small_dynamics_block(times={"min": -5.0, "max": 40.0, "count": 11})

@@ -223,6 +223,27 @@ class TestEvolveHeralded:
             ps.evolve_heralded(TWO_LEVEL, field)
 
 
+@pytest.mark.parametrize(
+    "caller", ["evolve_unconditional", "evolve_heralded", "average_over_heralds"]
+)
+def test_switch_on_error_names_caller(caller):
+    times = ps.TimeGrid(-1.0, 10.0, 12)
+    calls = {
+        "evolve_unconditional": lambda: ps.evolve_unconditional(
+            TWO_LEVEL, ps.mean_photon_number(DYN_GRID, REF_PDC), times, AMP_REF
+        ),
+        "evolve_heralded": lambda: ps.evolve_heralded(
+            TWO_LEVEL, ps.heralded_field(times, 5.0, REF_PDC, method=RECT)
+        ),
+        "average_over_heralds": lambda: ps.average_over_heralds(
+            TWO_LEVEL, REF_PDC, None, times, 4, method=RECT
+        ),
+    }
+    message = f"{caller}: times must start at or after 0, got -1.0"
+    with pytest.raises(ps.ValidationError, match=f"^{message}$"):
+        calls[caller]()
+
+
 class TestClosedForms:
     def test_degenerate_levels_all_ones(self):
         degenerate = ps.MolecularSystem(((18000.0, 1.0), (18000.0, 1.0)))
