@@ -134,7 +134,6 @@ def _run_fit(block: dict, seed: int | None) -> list[Callable]:
     baseline = fit_objective(problem.initial, problem)
     result = fit_pdc_to_thermal(problem, config.max_iters, config.tol)
     fitted = mean_photon_number(problem.window, result.params)
-    target = thermal_mean(problem.window, problem.target)
 
     report = [
         f"converged: {'true' if result.converged else 'false'}",
@@ -151,7 +150,7 @@ def _run_fit(block: dict, seed: int | None) -> list[Callable]:
     def write_report(out_dir: Path, header: list[str]) -> None:
         write_text(out_dir / config.report, "\n".join(header + report) + "\n")
 
-    rows = np.column_stack([problem.window.points, fitted.values, target.values])
+    rows = np.column_stack([problem.window.points, fitted.values, problem.target.values])
     columns = ["omega_cm1", "n_fit", "n_target"]
     return [write_report, _table(config.output, columns, rows, "Fitted source spectrum vs. target")]
 

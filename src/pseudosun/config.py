@@ -34,7 +34,7 @@ from .fitting import FitProblem
 from .heralded import FieldMethod, herald_pad
 from .dynamics import MolecularSystem, NormalizationMode
 from .numerics import FrequencyGrid, TimeGrid
-from .pdc import PdcParams, ThermalParams
+from .pdc import PdcParams, ThermalParams, thermal_mean
 
 COMMANDS = ("spectrum", "fit", "dynamics", "heralded", "coincidence")
 
@@ -184,9 +184,10 @@ class Molecule:
         object.__setattr__(self, "system", MolecularSystem(levels))
 
 
-def _check_thermal_grid(grid: FrequencyGrid) -> None:
+def _check_thermal_grid(key: str, grid: FrequencyGrid) -> None:
+    """The grid at key samples a black body, so it must start above 0."""
     if not grid.min > 0:
-        raise _RuleError(f"grid.min: must be > 0 for a black-body spectrum, got {grid.min}")
+        raise _RuleError(f"{key}.min: must be > 0 for a black-body spectrum, got {grid.min}")
 
 
 def _check_normalization(molecule: Molecule, mode: NormalizationMode) -> None:
@@ -206,7 +207,7 @@ class SpectrumConfig:
     output: str = "spectrum.csv"
 
     def __post_init__(self):
-        _check_thermal_grid(self.grid)
+        _check_thermal_grid("grid", self.grid)
 
 
 def parse_spectrum(block: dict) -> SpectrumConfig:
@@ -237,9 +238,14 @@ class FitConfig:
     problem: FitProblem = field(init=False)
 
     def __post_init__(self):
+        _check_thermal_grid("window", self.window)
+        if self.max_iters < 1:
+            raise _RuleError(f"max_iters: must be >= 1, got {self.max_iters}")
+        if not self.tol > 0:
+            raise _RuleError(f"tol: must be > 0, got {self.tol}")
         problem = FitProblem(
             window=self.window,
-            target=self.thermal,
+            target=thermal_mean(self.window, self.thermal),
             free_params=self.free_params,
             initial=self.initial,
             bounds={name: pair for name, pair in vars(self.bounds).items() if pair is not None},
@@ -276,7 +282,7 @@ class DynamicsConfig(_TrajectoryConfig):
         super().__post_init__()
         _check_normalization(self.molecule, self.normalization)
         if self.blackbody is not None:
-            _check_thermal_grid(self.grid)
+            _check_thermal_grid("grid", self.grid)
 
 
 def parse_dynamics(block: dict) -> DynamicsConfig:

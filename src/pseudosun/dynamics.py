@@ -205,6 +205,8 @@ def evolve_unconditional(
     source and the 5777 K black-body spectrum, the trajectory differs from
     one built with the direct sinc form at every step by at most 2.2e-15 in
     relative Frobenius norm per time, and the t = 0 matrix is exactly zero.
+    Each matrix is exactly Hermitian: the lower triangle is the conjugate of
+    the upper one, and the diagonal is real.
     """
     _check_switch_on(times, "evolve_unconditional")
     weight = _amplitude_weight(spectrum, amplitude_ref)
@@ -218,6 +220,11 @@ def evolve_unconditional(
     conj_overlaps[:early] += _stepped_overlaps(theta[:, far], weight[far], times, early)
     fourier = _fourier_overlaps(theta[:, far], weight[far], far, mol, spectrum.grid, times)
     conj_overlaps[early:] += fourier[early:]
+    # Each sum is formed for a <= b; entry (b, a) is its conjugate and the diagonal is real.
+    a, b = np.triu_indices(mol.size, 1)
+    conj_overlaps[:, b, a] = conj_overlaps[:, a, b].conj()
+    diagonal = np.arange(mol.size)
+    conj_overlaps[:, diagonal, diagonal] = conj_overlaps[:, diagonal, diagonal].real
 
     splitting = level_ang[:, None] - level_ang[None, :]
     phase = np.exp(-1j * splitting * times.points[:, None, None])
@@ -283,18 +290,18 @@ def _fourier_overlaps(
 
     C = sum_n c_n. theta and weight hold the far bins only, those at least
     _NEAR_THETA from every level, which far marks on the grid. The first
-    time is folded into the coefficients, and entry (b, a) is the conjugate
-    of entry (a, b). The four terms cancel where |theta t| is small, so the
-    caller keeps the rows from t = 1/_NEAR_THETA on. There each term, at
-    most 1/_NEAR_THETA^2 <= t^2 in size, is no larger than the scale of the
-    sum.
+    time is folded into the coefficients. Only the entries a <= b are
+    formed, the others stay zero. The four terms cancel where |theta t| is
+    small, so the caller keeps the rows from t = 1/_NEAR_THETA on. There
+    each term, at most 1/_NEAR_THETA^2 <= t^2 in size, is no larger than the
+    scale of the sum.
     """
     levels = theta.shape[0]
     shift = np.exp(-1j * angular_frequency(grid.points[far]) * times.min)
     phasors = _level_phasors(mol, times)
     synthesize = _ChirpZ(grid, times.spacing, times.count)
     coefficients = np.zeros(grid.count, dtype=complex)
-    overlaps = np.empty((times.count, levels, levels), dtype=complex)
+    overlaps = np.zeros((times.count, levels, levels), dtype=complex)
     for a in range(levels):
         for b in range(a, levels):
             c = weight / (theta[a] * theta[b])
@@ -306,7 +313,6 @@ def _fourier_overlaps(
                 - into_a * fourier
                 - out_of_b * fourier.conj()
             )
-            overlaps[:, b, a] = overlaps[:, a, b].conj()
     return overlaps
 
 

@@ -1,10 +1,10 @@
 """Fit down-conversion parameters to a target spectrum over a frequency window.
 
 The objective is a log-space least-squares residual between the source mean
-photon number and the target curve (black-body by default, or any sampled
-spectrum, which is what the round-trip tests use). Log space keeps the red
-and blue ends of a window that spans orders of magnitude on equal footing;
-the 1e-12 floor inside the logs absorbs exact zeros at sinc nodes.
+photon number and a target spectrum sampled once on the window grid, such as
+the black-body curve. Log space keeps the red and blue ends of a window that
+spans orders of magnitude on equal footing; the 1e-12 floor inside the logs
+absorbs exact zeros at sinc nodes.
 
 The optimizer is a bounded derivative-free simplex search. Candidates are
 projected (clipped) into the box rather than rejected, vertex ordering
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FitDivergedError, ValidationError
 from .numerics import FrequencyGrid
-from .pdc import PdcParams, PhotonSpectrum, ThermalParams, mean_photon_number, thermal_mean
+from .pdc import PdcParams, PhotonSpectrum, mean_photon_number
 
 LOG_FLOOR = 1e-12
 
@@ -35,22 +35,19 @@ _INITIAL_STEP = 0.05
 
 @dataclass(frozen=True)
 class FitProblem:
-    """A bounded fit of a subset of PdcParams to a target spectrum.
-
-    target is either ThermalParams (fit against the black-body curve) or a
-    PhotonSpectrum sampled on the same window grid (used for synthetic
-    round trips).
-    """
+    """A bounded fit of a subset of PdcParams to a target spectrum sampled on the window grid."""
 
     window: FrequencyGrid
-    target: ThermalParams | PhotonSpectrum
+    target: PhotonSpectrum
     free_params: tuple[str, ...]
     initial: PdcParams
     bounds: dict[str, tuple[float, float]]
 
     def __post_init__(self):
-        if self.window.min <= 0:
-            raise ValidationError("FitProblem: window must be strictly positive")
+        if not isinstance(self.target, PhotonSpectrum):
+            raise ValidationError("FitProblem: target must be a sampled PhotonSpectrum")
+        if self.target.grid != self.window:
+            raise ValidationError("FitProblem: target must be sampled on the window grid")
         object.__setattr__(self, "free_params", tuple(self.free_params))
         if not self.free_params:
             raise ValidationError("FitProblem: free_params must be non-empty")
@@ -71,8 +68,6 @@ class FitProblem:
                 raise ValidationError(
                     f"FitProblem: initial {name} = {value} outside bounds [{lo}, {hi}]"
                 )
-        if isinstance(self.target, PhotonSpectrum) and self.target.grid != self.window:
-            raise ValidationError("FitProblem: spectrum target must be sampled on the window grid")
         # Every corner of the free-parameter box must be a valid parameter
         # set; the box is then valid everywhere, so projection cannot
         # produce an unconstructible candidate.
@@ -102,16 +97,10 @@ def _ordered_free(free_params) -> tuple[str, ...]:
     return tuple(name for name in PARAM_ORDER if name in free_params)
 
 
-def _target_values(problem: FitProblem) -> np.ndarray:
-    if isinstance(problem.target, PhotonSpectrum):
-        return problem.target.values
-    return thermal_mean(problem.window, problem.target).values
-
-
 def fit_objective(params: PdcParams, problem: FitProblem) -> float:
     """Mean squared log-residual between the source spectrum and the target."""
     produced = mean_photon_number(problem.window, params).values
-    residual = np.log(produced + LOG_FLOOR) - np.log(_target_values(problem) + LOG_FLOOR)
+    residual = np.log(produced + LOG_FLOOR) - np.log(problem.target.values + LOG_FLOOR)
     return float(np.mean(residual**2))
 
 

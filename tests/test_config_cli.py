@@ -293,6 +293,8 @@ class TestBoundaryRejection:
                 "coincidence.herald_time: must be finite",
             ),
             ("fit", dict(SMALL_FIT, tol=float("nan")), "fit.tol: must be finite"),
+            ("fit", dict(SMALL_FIT, max_iters=0), "fit.max_iters: must be >= 1, got 0"),
+            ("fit", dict(SMALL_FIT, tol=0.0), "fit.tol: must be > 0, got 0.0"),
             (
                 "fit",
                 dict(SMALL_FIT, bounds={"entanglement_time": [8.0, 0.5], "gain": [0.01, 0.5]}),
@@ -309,6 +311,8 @@ class TestBoundaryRejection:
             "short-pad",
             "infinite-herald",
             "nan-tol",
+            "zero-max-iters",
+            "zero-tol",
             "reversed-bounds",
         ],
     )
@@ -373,13 +377,16 @@ class TestBoundaryRejection:
         assert err.startswith(f"error: {command}.times.min: must be >= 0")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics", "fit"])
     def test_zero_frequency_blackbody_grid_names_path(
         self, tmp_path, capsys, monkeypatch, command
     ):
         grid = {"min": 0.0, "max": 25000.0, "count": 2048}
+        key = "window" if command == "fit" else "grid"
         if command == "spectrum":
             block = {"grid": grid, "pdc": SMALL_PDC, "thermal": SOLAR}
+        elif command == "fit":
+            block = dict(SMALL_FIT, window=grid)
         else:
             # Without a black body the grid may reach 0: only the source spectrum is sampled.
             config_module.parse_dynamics(small_dynamics_block(grid=grid))
@@ -389,10 +396,11 @@ class TestBoundaryRejection:
             raise AssertionError("computed before the config was checked")
 
         monkeypatch.setattr("pseudosun.cli.mean_photon_number", no_compute)
+        monkeypatch.setattr("pseudosun.config.thermal_mean", no_compute)
         config = write_config(tmp_path / "zero.json", {command: block})
         out = tmp_path / "run"
         assert main([command, "--config", config, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {command}.grid.min: must be > 0")
+        assert capsys.readouterr().err.startswith(f"error: {command}.{key}.min: must be > 0")
         assert not out.exists()
 
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
@@ -666,6 +674,12 @@ class TestFitCommand:
         _, header, rows = read_csv(out / "fit_spectrum.csv")
         assert header == ["omega_cm1", "n_fit", "n_target"]
         assert rows.shape == (501, 3)
+
+    def test_target_is_the_black_body_sampled_on_the_window(self):
+        config = config_module.parse_fit(SMALL_FIT)
+        expected = ps.thermal_mean(config.window, config.thermal)
+        assert config.problem.target.grid == config.window
+        assert config.problem.target.values.tobytes() == expected.values.tobytes()
 
     def test_zero_free_params_rejected(self, tmp_path):
         block = {

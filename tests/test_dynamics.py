@@ -291,6 +291,21 @@ class TestNearFarSplit:
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
 
 
+@pytest.mark.parametrize(
+    "source", ["fig2_pdc_trajectory", "fig2_blackbody_trajectory", "five_levels"]
+)
+def test_unconditional_trajectory_is_exactly_hermitian(request, source):
+    if source in TestNearFarSplit.CASES:
+        mol, spectrum, times, _ = TestNearFarSplit.CASES[source]
+        traj = ps.evolve_unconditional(mol, spectrum, times, AMP_REF)
+    else:
+        traj = request.getfixturevalue(source)
+    assert traj.hermiticity_defect() == 0.0
+    populations_imag = np.diagonal(traj.matrices, axis1=1, axis2=2).imag
+    assert np.all(populations_imag == 0.0)
+    assert not np.any(np.signbit(populations_imag))
+
+
 class TestBlackbody:
     def test_zero_at_turn_on(self, fig2_blackbody_trajectory):
         assert np.all(fig2_blackbody_trajectory.matrices[0] == 0.0)

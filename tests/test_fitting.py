@@ -42,7 +42,7 @@ class TestObjective:
     def test_reference_baseline_locked(self):
         problem = ps.FitProblem(
             window=LOCK_WINDOW,
-            target=SOLAR,
+            target=ps.thermal_mean(LOCK_WINDOW, SOLAR),
             free_params=("gain",),
             initial=REF_PDC,
             bounds={"gain": (0.01, 0.5)},
@@ -87,6 +87,17 @@ class TestProblemValidation:
             )
 
 
+    def test_unsampled_target_rejected(self):
+        with pytest.raises(ps.ValidationError, match="target must be a sampled PhotonSpectrum"):
+            ps.FitProblem(
+                window=WINDOW,
+                target=SOLAR,
+                free_params=("gain",),
+                initial=REF_PDC,
+                bounds={"gain": (0.01, 0.5)},
+            )
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize(
         "name, true_value, start, bounds",
@@ -106,7 +117,7 @@ class TestRoundTrips:
     def test_two_parameter_fit_lands_near_reference(self):
         problem = ps.FitProblem(
             window=WINDOW,
-            target=SOLAR,
+            target=ps.thermal_mean(WINDOW, SOLAR),
             free_params=("entanglement_time", "gain"),
             initial=ps.PdcParams(25000.0, 12000.0, 2.0, 0.10),
             bounds={"entanglement_time": (0.5, 8.0), "gain": (0.01, 0.5)},
