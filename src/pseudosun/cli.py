@@ -7,7 +7,9 @@ Each command reads its block from the JSON config, computes and normalizes
 its tables, and only then writes them as CSV files plus matching gnuplot
 scripts into the output directory, so a command that fails writes nothing.
 Exit codes: 0 success, 2 config or validation error, 3 numerical failure,
-4 I/O error.
+4 I/O error, 5 out of memory. The computation runs with numpy's overflow and
+invalid-operation warnings raised as errors, so an overflow ends the run as
+one exit-3 line and no warning reaches stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 _EXIT_IO = 4
+_EXIT_MEMORY = 5
 
 
 def main(argv=None) -> int:
@@ -59,7 +62,8 @@ def main(argv=None) -> int:
         return _EXIT_CONFIG
     try:
         block = command_block(load_config(args.config), args.command)
-        writers = _RUNNERS[args.command](block, args.seed)
+        with np.errstate(over="raise", invalid="raise"):
+            writers = _RUNNERS[args.command](block, args.seed)
         header = metadata_lines(__version__, args.command, block, args.seed)
         for write in writers:
             write(Path(args.out), header)
@@ -69,6 +73,12 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
+    except FloatingPointError as exc:
+        print(f"numerical failure: {args.command}: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {args.command}: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return _EXIT_MEMORY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO

@@ -106,7 +106,14 @@ class MolecularSystem:
 
 @dataclass(frozen=True)
 class DensityTrajectory:
-    """Time series of complex Hermitian matrices over the excited-state manifold."""
+    """Time series of complex Hermitian matrices over the excited-state manifold.
+
+    Every trajectory the package returns, unheralded, heralded or
+    herald-averaged, is exactly Hermitian: the lower triangle is the conjugate
+    of the upper one and the diagonal is real (imaginary part +0.0), so its
+    hermiticity_defect() is 0.0. A trajectory built from a caller's matrices
+    is taken as given.
+    """
 
     times: TimeGrid
     matrices: np.ndarray
@@ -158,6 +165,15 @@ def _amplitude_weight(spectrum: PhotonSpectrum, amplitude_ref: float | None) -> 
         raise ValidationError(f"amplitude_ref must be > 0, got {amplitude_ref}")
     weights = trapezoid_weights(spectrum.grid.count, spectrum.grid.spacing)
     return weights * (spectrum.grid.points / amplitude_ref) * spectrum.values
+
+
+def _hermitian(matrices: np.ndarray) -> np.ndarray:
+    """Make each matrix exactly Hermitian in place: (b, a) = conj (a, b), the diagonal real."""
+    a, b = np.triu_indices(matrices.shape[1], 1)
+    matrices[:, b, a] = matrices[:, a, b].conj()
+    diagonal = np.arange(matrices.shape[1])
+    matrices[:, diagonal, diagonal] = matrices[:, diagonal, diagonal].real
+    return matrices
 
 
 def _check_switch_on(times: TimeGrid, caller: str) -> None:
@@ -220,16 +236,11 @@ def evolve_unconditional(
     conj_overlaps[:early] += _stepped_overlaps(theta[:, far], weight[far], times, early)
     fourier = _fourier_overlaps(theta[:, far], weight[far], far, mol, spectrum.grid, times)
     conj_overlaps[early:] += fourier[early:]
-    # Each sum is formed for a <= b; entry (b, a) is its conjugate and the diagonal is real.
-    a, b = np.triu_indices(mol.size, 1)
-    conj_overlaps[:, b, a] = conj_overlaps[:, a, b].conj()
-    diagonal = np.arange(mol.size)
-    conj_overlaps[:, diagonal, diagonal] = conj_overlaps[:, diagonal, diagonal].real
 
     splitting = level_ang[:, None] - level_ang[None, :]
     phase = np.exp(-1j * splitting * times.points[:, None, None])
     mu_outer = np.outer(mol.dipoles, mol.dipoles)
-    return DensityTrajectory(times, mu_outer * phase * conj_overlaps)
+    return DensityTrajectory(times, _hermitian(mu_outer * phase * conj_overlaps))
 
 
 def _stepped_overlaps(

@@ -24,7 +24,9 @@ Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
 exactly rank one. It is returned as a plain dynamics.DensityTrajectory, like
 the herald average and the unheralded trajectory, so the rank-one defect is
-read the same way on all three. The long-time closed form, the impulsive
+read the same way on all three. All three are made exactly Hermitian by the
+same assembly, once per returned trajectory: the lower triangle is the
+conjugate of the upper one and the diagonal is real. The long-time closed form, the impulsive
 (zero-duration) limit, herald-time averaging, and the two-photon
 coincidence observable live here as well.
 """
@@ -48,7 +50,13 @@ from .numerics import (
     sinc,
     trapezoid_weights,
 )
-from .dynamics import DensityTrajectory, MolecularSystem, _check_switch_on, _level_phasors
+from .dynamics import (
+    DensityTrajectory,
+    MolecularSystem,
+    _check_switch_on,
+    _hermitian,
+    _level_phasors,
+)
 from .pdc import PdcParams, squeeze_profile, vacuum_amplitude
 
 #: Default integration window for the exact field: this many sinc lobes on
@@ -182,11 +190,13 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajec
     """Rank-one trajectory driven by a heralded one-photon field.
 
     Populations sit at 0 before the pulse and stay constant after it;
-    coherences keep rotating at the level splittings.
+    coherences keep rotating at the level splittings. Each matrix is exactly
+    Hermitian: the lower triangle is the conjugate of the upper one, and the
+    diagonal is real.
     """
     _check_switch_on(field.times, "evolve_heralded")
-    phasors = _level_phasors(mol, field.times)
-    return DensityTrajectory(field.times, _rank_one(mol, field.times, field.amplitudes, phasors))
+    matrices = _rank_one(mol, field.times, field.amplitudes, _level_phasors(mol, field.times))
+    return DensityTrajectory(field.times, _hermitian(matrices))
 
 
 def long_time_closed_form(
@@ -260,7 +270,10 @@ def average_over_heralds(
     entanglement time on both sides: a deterministic uniform grid by default,
     or uniform random draws when sampling="random" (seeded). The accumulation
     order is fixed, so results are reproducible. With many samples the
-    average converges to the unheralded trajectory.
+    average converges to the unheralded trajectory. The sum is made exactly
+    Hermitian once, after the last herald, as evolve_heralded makes each of
+    its terms; conjugation is exact, so the average is still bit for bit the
+    mean of the single-herald trajectories.
     """
     try:
         pad = herald_pad(params, herald_samples, pad, sampling)
@@ -281,7 +294,7 @@ def average_over_heralds(
     total = np.zeros((times.count, mol.size, mol.size), dtype=complex)
     for herald_time in herald_times:
         total += _rank_one(mol, times, field_at(herald_time), phasors)
-    return DensityTrajectory(times, total / len(herald_times))
+    return DensityTrajectory(times, _hermitian(total / len(herald_times)))
 
 
 def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> np.ndarray:

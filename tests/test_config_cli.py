@@ -3,12 +3,14 @@ import json
 import os
 import re
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pseudosun as ps
+from pseudosun import cli
 from pseudosun.cli import main
 from pseudosun import config as config_module
 from pseudosun.config import COMMANDS, example_config, parse_heralded
@@ -583,6 +585,17 @@ class TestHeraldedCommand:
         assert (out / "heralded_ti20.csv").exists()
         assert (out / "heralded_average.csv").exists()
 
+    def test_population_imaginary_parts_are_literal_zero(self, tmp_path):
+        block = dict(SMALL_EXACT, herald_times=[10.0, 20.5], average={"samples": 9})
+        config = write_config(tmp_path / "her.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 0
+        for name in ["heralded_ti10.csv", "heralded_ti20p5.csv", "heralded_average.csv"]:
+            lines = (out / name).read_text().splitlines()
+            rows = [line.split(",") for line in lines if not line.startswith("#")]
+            columns = [rows[0].index("im_rho_11"), rows[0].index("im_rho_22")]
+            assert {row[k] for row in rows[1:] for k in columns} == {"0"}
+
     def test_seed_recorded_for_random_sampling(self, tmp_path):
         block = {
             "molecule": SMALL_MOL,
@@ -701,3 +714,42 @@ class TestIOErrors:
         code = main(["spectrum", "--config", config, "--out", str(blocker / "sub")])
         assert code == 4
         assert "blocker" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dynamics", "heralded", "coincidence"])
+def test_overflow_is_one_numerical_failure_line(tmp_path, capsys, command):
+    huge = {"levels": [{"energy": 18000.0, "dipole": 1e300}, {"energy": 18500.0, "dipole": 1.0}]}
+    if command == "dynamics":
+        block = small_dynamics_block(molecule=huge)
+    else:
+        block = dict(SMALL_EXACT, molecule=huge, herald_times=[10.0])
+    if command == "coincidence":
+        block["herald_time"] = block.pop("herald_times")[0]
+    config = write_config(tmp_path / "huge.json", {command: block})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", config, "--out", str(out)]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {command}: overflow encountered in multiply\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, detail",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+        (MemoryError(), "allocation failed"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, error, detail):
+    def out_of_memory(block, seed):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", out_of_memory)
+    out = tmp_path / "run"
+    assert main(["spectrum", "--config", str(example_config("fig1")), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == f"out of memory: spectrum: {detail}\n"
+    assert not out.exists()

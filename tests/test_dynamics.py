@@ -300,6 +300,25 @@ def test_unconditional_trajectory_is_exactly_hermitian(request, source):
         traj = ps.evolve_unconditional(mol, spectrum, times, AMP_REF)
     else:
         traj = request.getfixturevalue(source)
+    assert_exactly_hermitian(traj)
+
+
+@pytest.mark.parametrize("method", list(ps.FieldMethod), ids=lambda method: method.value)
+@pytest.mark.parametrize(
+    "heralds, start", [(1, 0.0), (9, 0.0), (9, 7.5)], ids=["single", "average", "average7.5"]
+)
+def test_heralded_trajectory_is_exactly_hermitian(method, heralds, start):
+    times = ps.TimeGrid(start, 40.0, 801)
+    if heralds == 1:
+        field = ps.heralded_field(times, 20.0, REF_PDC, method=method)
+        traj = ps.evolve_heralded(TWO_LEVEL, field)
+    else:
+        traj = ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, heralds, method=method)
+    assert_exactly_hermitian(traj)
+
+
+def assert_exactly_hermitian(traj):
+    """The lower triangle is the conjugate of the upper one; populations are +0.0j exactly."""
     assert traj.hermiticity_defect() == 0.0
     populations_imag = np.diagonal(traj.matrices, axis1=1, axis2=2).imag
     assert np.all(populations_imag == 0.0)
