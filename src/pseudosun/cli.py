@@ -44,7 +44,7 @@ from .dynamics import (
     evolve_unconditional,
     normalize_trajectory,
 )
-from .output import format_value, metadata_lines, write_csv, write_gnuplot, write_text
+from .output import format_value, metadata_lines, script_name, write_csv, write_gnuplot, write_text
 from .pdc import mean_photon_number, thermal_mean
 
 _EXIT_OK = 0
@@ -108,7 +108,7 @@ def _table(name: str, columns: list[str], rows: np.ndarray, title: str, extra=()
 
     def write(out_dir: Path, header: list[str]) -> None:
         write_csv(out_dir / name, header + list(extra), columns, rows)
-        write_gnuplot((out_dir / name).with_suffix(".gp"), name, columns, title)
+        write_gnuplot(out_dir / script_name(name), name, columns, title)
 
     return write
 
@@ -196,9 +196,9 @@ def _run_heralded(block: dict, seed: int | None) -> list[Callable]:
         )
         traj = normalize_trajectory(evolve_heralded(molecule, field), config.normalization)
         tag = format_value(herald_time)
-        name = f"{config.output_prefix}_ti{tag.replace('-', 'm').replace('.', 'p')}.csv"
         title = f"Heralded dynamics, herald at {tag} fs"
-        tables.append(_trajectory_table(name, traj, title, extra=(f"# t_i_fs: {tag}",)))
+        extra = (f"# t_i_fs: {tag}",)
+        tables.append(_trajectory_table(config.herald_output(herald_time), traj, title, extra))
 
     if config.average is not None:
         averaged = normalize_trajectory(

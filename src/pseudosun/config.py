@@ -15,6 +15,9 @@ the non-standard literals NaN, Infinity and -Infinity and any non-finite
 number, missing keys are reported with their full path, and all domain
 invariants are enforced before any computation starts. An error raised by
 a constructor is prefixed with the path of the block it was building.
+Every output key holds a plain file name, and the files one command writes,
+each CSV's gnuplot script included, have distinct names, so no run writes
+outside its output directory or over its own tables.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .fitting import FitProblem
 from .heralded import FieldMethod, herald_pad
 from .dynamics import MolecularSystem, NormalizationMode
 from .numerics import FrequencyGrid, TimeGrid
+from .output import format_value, script_name
 from .pdc import PdcParams, ThermalParams, thermal_mean
 
 COMMANDS = ("spectrum", "fit", "dynamics", "heralded", "coincidence")
@@ -199,6 +203,32 @@ def _check_normalization(molecule: Molecule, mode: NormalizationMode) -> None:
         )
 
 
+def _check_outputs(config, keys: tuple[str, ...], tables: list, texts=()) -> None:
+    """The rules on the files one command writes, each error naming its key.
+
+    Each of keys holds a plain file name: not empty, '.' or '..', and without
+    '/' or NUL, so nothing is written outside the output directory. The CSVs
+    in tables with their gnuplot scripts, and the files in texts, all given as
+    (key, name), have distinct names, so no file is written over another.
+    """
+    for key in keys:
+        name = getattr(config, key)
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise _RuleError(
+                f"{key}: must be a plain file name (not empty, '.' or '..', no '/' or NUL), "
+                f"got {name!r}"
+            )
+    written = []
+    for key, name in tables:
+        written += [(key, "CSV", name), (key, "plot script", script_name(name))]
+    written += [(key, "file", name) for key, name in texts]
+    owners = {}
+    for key, role, name in written:
+        if name in owners:
+            raise _RuleError(f"{key}: its {role} {name!r} is also the {owners[name]}")
+        owners[name] = f"{role} of {key}"
+
+
 @dataclass(frozen=True)
 class SpectrumConfig:
     grid: FrequencyGrid
@@ -208,6 +238,7 @@ class SpectrumConfig:
 
     def __post_init__(self):
         _check_thermal_grid("grid", self.grid)
+        _check_outputs(self, ("output",), [("output", self.output)])
 
 
 def parse_spectrum(block: dict) -> SpectrumConfig:
@@ -243,6 +274,9 @@ class FitConfig:
             raise _RuleError(f"max_iters: must be >= 1, got {self.max_iters}")
         if not self.tol > 0:
             raise _RuleError(f"tol: must be > 0, got {self.tol}")
+        _check_outputs(
+            self, ("output", "report"), [("output", self.output)], [("report", self.report)]
+        )
         problem = FitProblem(
             window=self.window,
             target=thermal_mean(self.window, self.thermal),
@@ -281,8 +315,11 @@ class DynamicsConfig(_TrajectoryConfig):
     def __post_init__(self):
         super().__post_init__()
         _check_normalization(self.molecule, self.normalization)
+        tables = [("output", self.output)]
         if self.blackbody is not None:
             _check_thermal_grid("grid", self.grid)
+            tables.append(("blackbody_output", self.blackbody_output))
+        _check_outputs(self, ("output", "blackbody_output"), tables)
 
 
 def parse_dynamics(block: dict) -> DynamicsConfig:
@@ -320,6 +357,15 @@ class HeraldedConfig(_TrajectoryConfig):
                 herald_pad(self.pdc, **vars(self.average))
             except ValidationError as exc:
                 raise _RuleError(f"average: {exc}") from None
+        tables = [("output_prefix", self.herald_output(t)) for t in self.herald_times]
+        if self.average is not None:
+            tables.append(("average_output", self.average_output))
+        _check_outputs(self, ("output_prefix", "average_output"), tables)
+
+    def herald_output(self, herald_time: float) -> str:
+        """Name of the CSV for one herald time: the time with '-' as 'm' and '.' as 'p'."""
+        tag = format_value(herald_time).replace("-", "m").replace(".", "p")
+        return f"{self.output_prefix}_ti{tag}.csv"
 
 
 def parse_heralded(block: dict) -> HeraldedConfig:
@@ -332,6 +378,10 @@ class CoincidenceConfig(_TrajectoryConfig):
     method: FieldMethod = FieldMethod.RECT_APPROX
     field_grid: FrequencyGrid | None = None
     output: str = "coincidence.csv"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_outputs(self, ("output",), [("output", self.output)])
 
 
 def parse_coincidence(block: dict) -> CoincidenceConfig:

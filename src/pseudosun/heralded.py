@@ -24,17 +24,18 @@ Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
 exactly rank one. It is returned as a plain dynamics.DensityTrajectory, like
 the herald average and the unheralded trajectory, so the rank-one defect is
-read the same way on all three. All three are made exactly Hermitian by the
-same assembly, once per returned trajectory: the lower triangle is the
-conjugate of the upper one and the diagonal is real. The long-time closed form, the impulsive
-(zero-duration) limit, herald-time averaging, and the two-photon
-coincidence observable live here as well.
+read the same way on all three. One builder serves a single herald and a
+herald average: it sums the upper-triangle products of each field's
+amplitudes into one total, divides by the field count and makes the result
+exactly Hermitian, as the unheralded trajectories are. The long-time closed
+form, the impulsive (zero-duration) limit, herald-time averaging, and the
+two-photon coincidence observable live here as well.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import ceil, isfinite
 
@@ -169,34 +170,39 @@ def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
     )
 
 
-def _rank_one(
-    mol: MolecularSystem, times: TimeGrid, field_values: np.ndarray, phasors: np.ndarray
-) -> np.ndarray:
-    """Outer products phi phi^dagger (n_times, L, L) of the level amplitudes phi.
-
-    phi is the dipole-weighted cumulative trapezoid response to the field.
-    Each step rebinds phi, so each temporary is freed as soon as the next
-    one exists. Holding every step until the end made the 512-herald
-    average page-fault on every herald, about 1.5x slower.
-    """
-    phi = phasors * field_values[None, :]
-    phi = 0.5 * times.spacing * (phi[:, 1:] + phi[:, :-1])
-    phi = np.concatenate([np.zeros((mol.size, 1), dtype=complex), np.cumsum(phi, axis=1)], axis=1)
-    phi = (mol.dipoles[:, None] * phasors.conj() * phi).T
-    return phi[:, :, None] * phi.conj()[:, None, :]
-
-
 def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajectory:
     """Rank-one trajectory driven by a heralded one-photon field.
 
     Populations sit at 0 before the pulse and stay constant after it;
-    coherences keep rotating at the level splittings. Each matrix is exactly
-    Hermitian: the lower triangle is the conjugate of the upper one, and the
-    diagonal is real.
+    coherences keep rotating at the level splittings. Built as the herald
+    average is, so each matrix is exactly Hermitian.
     """
-    _check_switch_on(field.times, "evolve_heralded")
-    matrices = _rank_one(mol, field.times, field.amplitudes, _level_phasors(mol, field.times))
-    return DensityTrajectory(field.times, _hermitian(matrices))
+    return _assemble(mol, field.times, [field.amplitudes], "evolve_heralded")
+
+
+def _assemble(
+    mol: MolecularSystem, times: TimeGrid, fields: Iterable[np.ndarray], caller: str
+) -> DensityTrajectory:
+    """Mean of the rank-one matrices phi phi^dagger over the fields, exactly Hermitian.
+
+    phi is the dipole-weighted cumulative trapezoid response of each level to
+    one field. Its products for a <= b go straight into one total, one field
+    at a time, as a (n_times, L, L) array per field had the allocator fault in
+    fresh pages for every herald. _hermitian fills in the lower triangle.
+    """
+    _check_switch_on(times, caller)
+    phasors = _level_phasors(mol, times)
+    weights = mol.dipoles[:, None] * phasors.conj()
+    pairs = list(zip(*np.triu_indices(mol.size)))
+    total = np.zeros((times.count, mol.size, mol.size), dtype=complex)
+    for count, values in enumerate(fields, 1):
+        phi = phasors * values[None, :]
+        phi = np.cumsum(0.5 * times.spacing * (phi[:, 1:] + phi[:, :-1]), axis=1)
+        phi = weights * np.concatenate([np.zeros((mol.size, 1), dtype=complex), phi], axis=1)
+        conj = phi.conj()
+        for a, b in pairs:
+            total[:, a, b] += phi[a] * conj[b]
+    return DensityTrajectory(times, _hermitian(total / count))
 
 
 def long_time_closed_form(
@@ -270,16 +276,14 @@ def average_over_heralds(
     entanglement time on both sides: a deterministic uniform grid by default,
     or uniform random draws when sampling="random" (seeded). The accumulation
     order is fixed, so results are reproducible. With many samples the
-    average converges to the unheralded trajectory. The sum is made exactly
-    Hermitian once, after the last herald, as evolve_heralded makes each of
-    its terms; conjugation is exact, so the average is still bit for bit the
-    mean of the single-herald trajectories.
+    average converges to the unheralded trajectory. The fields go one at a
+    time through the builder evolve_heralded uses, so the average is bit for
+    bit the mean of the single-herald trajectories.
     """
     try:
         pad = herald_pad(params, herald_samples, pad, sampling)
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
-    _check_switch_on(times, "average_over_heralds")
     lo, hi = times.min - pad, times.max + pad
     if sampling == "random":
         rng = np.random.default_rng(seed)
@@ -290,11 +294,7 @@ def average_over_heralds(
         herald_times = np.linspace(lo, hi, int(herald_samples))
 
     field_at = _field_source(times, params, grid, method, lo, hi)
-    phasors = _level_phasors(mol, times)
-    total = np.zeros((times.count, mol.size, mol.size), dtype=complex)
-    for herald_time in herald_times:
-        total += _rank_one(mol, times, field_at(herald_time), phasors)
-    return DensityTrajectory(times, _hermitian(total / len(herald_times)))
+    return _assemble(mol, times, map(field_at, herald_times), "average_over_heralds")
 
 
 def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> np.ndarray:

@@ -73,6 +73,11 @@ def write_csv(path: Path, header_lines: list[str], columns: list[str], rows: np.
     write_text(path, "\n".join(lines) + "\n")
 
 
+def script_name(csv_name: str) -> str:
+    """Name of the gnuplot script written beside a CSV: its suffix replaced by .gp."""
+    return Path(csv_name).with_suffix(".gp").name
+
+
 def write_gnuplot(path: Path, csv_name: str, columns: list[str], title: str) -> None:
     """Emit a minimal gnuplot script plotting every column against the first."""
     plots = ", ".join(

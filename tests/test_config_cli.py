@@ -413,6 +413,53 @@ class TestBoundaryRejection:
         assert "heralded.average" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, key, name",
+        [
+            ("dynamics", "blackbody_output", "dynamics_pdc.csv"),
+            ("heralded", "average_output", "h_ti10.csv"),
+            ("fit", "report", "fit_spectrum.gp"),
+            ("spectrum", "output", "s.gp"),
+            ("coincidence", "output", "../escaped.csv"),
+            ("spectrum", "output", "ABSOLUTE"),
+            ("dynamics", "output", ""),
+            ("spectrum", "output", "."),
+            ("heralded", "output_prefix", ".."),
+            ("fit", "report", "report\u0000.txt"),
+        ],
+        ids=[
+            "dynamics-same-csv",
+            "average-over-single-herald",
+            "report-over-script",
+            "csv-over-own-script",
+            "parent-directory",
+            "absolute-path",
+            "empty",
+            "dot",
+            "dot-dot-prefix",
+            "nul",
+        ],
+    )
+    def test_output_name_rejected(self, tmp_path, capsys, command, key, name):
+        # Each of these exited 0 and wrote over a table or outside --out, or
+        # ended in a traceback; the key is checked before anything runs.
+        escaped = tmp_path / "escaped.csv"
+        name = str(escaped) if name == "ABSOLUTE" else name
+        block = {
+            "spectrum": {"grid": GRID, "pdc": SMALL_PDC, "thermal": SOLAR},
+            "fit": SMALL_FIT,
+            "dynamics": small_dynamics_block(blackbody=SOLAR),
+            "heralded": dict(SMALL_HERALDED, output_prefix="h", average={"samples": 2}),
+            "coincidence": dict(SMALL_EXACT, herald_time=10.0),
+        }[command]
+        config = write_config(tmp_path / "names.json", {command: dict(block, **{key: name})})
+        out = tmp_path / "run" / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}.{key}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists() and not escaped.exists()
+
     def test_duplicate_herald_times_rejected(self, tmp_path, capsys):
         block = {
             "molecule": SMALL_MOL,

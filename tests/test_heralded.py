@@ -1,5 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from oracles import (
 
 RECT = ps.FieldMethod.RECT_APPROX
 EXACT = ps.FieldMethod.EXACT_QUADRATURE
+#: Three levels, one dipole negative: every pair a < b, and signs, in the assembly.
+THREE_LEVEL = ps.MolecularSystem(((18000.0, 1.0), (18500.0, -0.7), (19200.0, 0.4)))
 
 
 def support_l2_discrepancy(params, herald_time, count=4001):
@@ -326,20 +333,51 @@ class TestHeraldAveraging:
         want = b.matrices[window, 0, 0].real
         assert np.max(np.abs(got - want) / want) < 0.05
 
-    @pytest.mark.parametrize("method", [RECT, EXACT], ids=["rect", "exact"])
+    @pytest.mark.parametrize(
+        "method, mol",
+        [(RECT, TWO_LEVEL), (EXACT, TWO_LEVEL), (RECT, THREE_LEVEL), (EXACT, THREE_LEVEL)],
+        ids=["rect", "exact", "rect-three_level", "exact-three_level"],
+    )
     @pytest.mark.parametrize("start", [0.0, 7.5], ids=["start0", "start7.5"])
-    def test_average_matches_single_herald_loop(self, method, start):
+    def test_average_matches_single_herald_loop(self, method, mol, start):
         # One field source and one rank-one builder serve both paths, so the
         # average is the mean of single-herald trajectories bit for bit.
         times = ps.TimeGrid(start, 40.0, 801)
         pad = REF_PDC.entanglement_time
         grid = ps.default_field_grid(REF_PDC, time_span=times.max - times.min + pad)
-        averaged = ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 9, method=method)
+        averaged = ps.average_over_heralds(mol, REF_PDC, None, times, 9, method=method)
         total = np.zeros_like(averaged.matrices)
         for herald_time in np.linspace(times.min - pad, times.max + pad, 9):
             field = ps.heralded_field(times, herald_time, REF_PDC, grid=grid, method=method)
-            total += ps.evolve_heralded(TWO_LEVEL, field).matrices
+            total += ps.evolve_heralded(mol, field).matrices
         assert np.array_equal(averaged.matrices, total / 9)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's allocator")
+    def test_average_page_faults_bounded(self):
+        # Counted in a fresh interpreter with glibc's heap trimming off and its
+        # mmap threshold pinned at 120 KB, so the count does not hang on the
+        # heap's history: after the warm-up only arrays of 120 KB or more, such
+        # as one of the trajectory's size (T x 2 x 2 complex, 128 KB), are
+        # mapped afresh. One such temporary per herald faulted 16,384 times.
+        code = f"""
+import ctypes, resource
+libc = ctypes.CDLL(None)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+if not (libc.mallopt(M_MMAP_THRESHOLD, 120 * 1024) and libc.mallopt(M_TRIM_THRESHOLD, 1 << 30)):
+    raise SystemExit("mallopt")
+import pseudosun as ps
+mol, params, times = ps.{TWO_LEVEL!r}, ps.{REF_PDC!r}, ps.{TIMES_100!r}
+average = lambda: ps.average_over_heralds(mol, params, None, times, 512)
+average()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+average()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(run.stdout) < 2000
 
     def test_random_sampling_seeded(self):
         times = ps.TimeGrid(0.0, 20.0, 101)
