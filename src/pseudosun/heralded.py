@@ -177,11 +177,12 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajec
     coherences keep rotating at the level splittings. Built as the herald
     average is, so each matrix is exactly Hermitian.
     """
-    return _assemble(mol, field.times, [field.amplitudes], "evolve_heralded")
+    _check_switch_on(field.times, "evolve_heralded")
+    return _assemble(mol, field.times, [field.amplitudes])
 
 
 def _assemble(
-    mol: MolecularSystem, times: TimeGrid, fields: Iterable[np.ndarray], caller: str
+    mol: MolecularSystem, times: TimeGrid, fields: Iterable[np.ndarray]
 ) -> DensityTrajectory:
     """Mean of the rank-one matrices phi phi^dagger over the fields, exactly Hermitian.
 
@@ -190,7 +191,6 @@ def _assemble(
     at a time, as a (n_times, L, L) array per field had the allocator fault in
     fresh pages for every herald. _hermitian fills in the lower triangle.
     """
-    _check_switch_on(times, caller)
     phasors = _level_phasors(mol, times)
     weights = mol.dipoles[:, None] * phasors.conj()
     pairs = list(zip(*np.triu_indices(mol.size)))
@@ -280,6 +280,7 @@ def average_over_heralds(
     time through the builder evolve_heralded uses, so the average is bit for
     bit the mean of the single-herald trajectories.
     """
+    _check_switch_on(times, "average_over_heralds")
     try:
         pad = herald_pad(params, herald_samples, pad, sampling)
     except ValidationError as exc:
@@ -294,7 +295,7 @@ def average_over_heralds(
         herald_times = np.linspace(lo, hi, int(herald_samples))
 
     field_at = _field_source(times, params, grid, method, lo, hi)
-    return _assemble(mol, times, map(field_at, herald_times), "average_over_heralds")
+    return _assemble(mol, times, map(field_at, herald_times))
 
 
 def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> np.ndarray:

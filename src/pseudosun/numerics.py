@@ -132,12 +132,14 @@ class _ChirpZ:
     call is then one FFT and one inverse FFT: O((N + T) log(N + T)) time and
     O(N + T) memory. On a 2-core Xeon box a smooth size was as fast as the
     fastest of its smooth neighbours and up to 1.7x faster than the next
-    power of two. Both transforms run in place in one work buffer kept
-    across calls (so calls must not overlap): allocating and freeing
+    power of two. Both transforms write their result into one work buffer
+    kept across calls (so calls must not overlap): allocating and freeing
     transform-sized arrays on every call made the allocator hand memory
     back and fault it in again, and 512 calls at the figure sizes took
-    0.37 s instead of 0.27 s. The heralded field and the unconditional
-    dynamics both synthesize their sums here.
+    0.37 s instead of 0.27 s. numpy's FFT still allocates scratch of about
+    twice the transform size inside each transform, even with out= (seen
+    as page faults; tracemalloc does not count it). The heralded field and
+    the unconditional dynamics both synthesize their sums here.
     """
 
     def __init__(self, grid: FrequencyGrid, dtau: float, count: int):

@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pseudosun as ps
-from pseudosun.dynamics import _ANCHOR_STEPS, _NEAR_THETA, _amplitude_weight, _window_kernel
+from pseudosun.dynamics import (
+    _ANCHOR_STEPS,
+    _BLOCK_VALUES,
+    _FOURIER_FROM,
+    _NEAR_THETA,
+    _amplitude_weight,
+    _stepped_overlaps,
+    _window_kernel,
+)
 from pseudosun.numerics import C_CM_PER_FS, angular_frequency
 
 from conftest import (
@@ -15,7 +25,12 @@ from conftest import (
     structural_checks,
 )
 from locks import RHO11_RAW_SLOPE
-from oracles import correlation_cw, evolve_by_double_quadrature, relative_frobenius
+from oracles import (
+    correlation_cw,
+    evolve_by_double_quadrature,
+    relative_frobenius,
+    stepped_overlaps_per_step,
+)
 
 
 def small_spectrum(count=161):
@@ -229,18 +244,65 @@ class TestRecurrenceKernel:
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
 
 
-def near_far_split(mol, spectrum, times):
-    """Bins within _NEAR_THETA of some level, bins beyond it, and rows before 1/_NEAR_THETA."""
-    level_ang = angular_frequency(mol.energies)
-    theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
-    near = int(np.count_nonzero(np.any(np.abs(theta) < _NEAR_THETA, axis=0)))
-    early = int(np.count_nonzero(times.points < 1.0 / _NEAR_THETA))
-    return near, spectrum.grid.count - near, early
-
-
 FIVE_LEVEL = ps.MolecularSystem(
     ((15400.0, 0.8), (16700.0, -0.5), (18000.0, 1.0), (19300.0, 0.3), (20700.0, 0.9))
 )
+
+
+class TestSteppedBlocks:
+    """The blocked recurrence against the per-step loop, bit for bit, and its memory."""
+
+    LEVELS = {1: ONE_LEVEL, 2: TWO_LEVEL, 5: FIVE_LEVEL}
+
+    @staticmethod
+    def bins(mol, spectrum):
+        level_ang = angular_frequency(mol.energies)
+        theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
+        return theta, _amplitude_weight(spectrum, AMP_REF)
+
+    @pytest.mark.parametrize("start", [0.0, 3.0])
+    @pytest.mark.parametrize("levels", list(LEVELS))
+    def test_bit_identical_to_per_step_loop(self, levels, start):
+        theta, weight = self.bins(self.LEVELS[levels], small_spectrum(321))
+        times = ps.TimeGrid(start, start + 500.0, 5001)
+        rows = _BLOCK_VALUES // theta.size
+        assert 2 < rows < _ANCHOR_STEPS
+        want = stepped_overlaps_per_step(theta, weight, times, times.count)
+        counts = (1, 2, rows - 1, rows, rows + 1, _ANCHOR_STEPS - 1, _ANCHOR_STEPS + 1, 5001)
+        for count in counts:
+            got = _stepped_overlaps(theta, weight, times, count)
+            assert np.array_equal(got, want[:count]), count
+        assert np.all(want[0] == 0.0) if start == 0.0 else np.all(want[0] != 0.0)
+
+    def test_peak_memory_is_a_few_rows(self):
+        """On fig2's far bins a row is one block: the peak stays a few (L, n) rows.
+
+        Building the step kernel takes about six rows of temporaries; a block of
+        three or more rows would push the peak past seven.
+        """
+        theta, weight = self.bins(TWO_LEVEL, ps.mean_photon_number(DYN_GRID, REF_PDC))
+        far = np.all(np.abs(theta) >= _NEAR_THETA, axis=0)
+        theta, weight = theta[:, far].copy(), weight[far].copy()
+        assert theta.shape == (2, 7659)
+        tracemalloc.start()
+        try:
+            overlaps = _stepped_overlaps(theta, weight, TIMES_100, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = theta.size * np.dtype(complex).itemsize
+        assert peak - overlaps.nbytes <= 7 * row
+
+
+def near_far_split(mol, spectrum, times):
+    """Bins within _NEAR_THETA of some level, bins beyond it, and rows before _FOURIER_FROM."""
+    level_ang = angular_frequency(mol.energies)
+    theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
+    near = int(np.count_nonzero(np.any(np.abs(theta) < _NEAR_THETA, axis=0)))
+    early = int(np.count_nonzero(times.points < _FOURIER_FROM))
+    return near, spectrum.grid.count - near, early
+
+
 TIMES_80 = ps.TimeGrid(0.0, 80.0, 801)
 
 
@@ -263,7 +325,10 @@ class TestNearFarSplit:
             (True, False, True, True),
         ),
         "early_only": (
-            TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 9.5, 191), (True, True, True, False)
+            TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 0.95, 20), (True, True, True, False)
+        ),
+        "across_cut": (
+            TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 9.5, 191), (True, True, True, True)
         ),
         "late_start": (
             TWO_LEVEL, small_spectrum(161), ps.TimeGrid(12.0, 92.0, 801), (True, True, False, True)
@@ -283,12 +348,21 @@ class TestNearFarSplit:
         assert (near > 0, far > 0, early > 0, early < times.count) == expected
 
     @pytest.mark.parametrize("name", list(CASES))
-    def test_matches_direct_kernel(self, name):
+    def test_matches_direct_kernel(self, name, monkeypatch):
         mol, spectrum, times, _ = self.CASES[name]
+        counts = []
+
+        def stepped(theta, weight, times, count):
+            counts.append(count)
+            return _stepped_overlaps(theta, weight, times, count)
+
+        monkeypatch.setattr(ps.dynamics, "_stepped_overlaps", stepped)
         got = ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices
         want = evolve_by_direct_kernel(mol, spectrum, times, AMP_REF)
         assert relative_frobenius(got, want) <= 1e-12
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
+        # near bins step at every time, far bins only before the cut
+        assert counts == [times.count, near_far_split(mol, spectrum, times)[2]]
 
 
 @pytest.mark.parametrize(

@@ -251,6 +251,17 @@ def test_switch_on_error_names_caller(caller):
         calls[caller]()
 
 
+def test_average_rejects_early_start_before_field_work(monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built for a grid starting before 0")
+
+    monkeypatch.setattr(ps.heralded, "_field_source", no_field)
+    times = ps.TimeGrid(-1.0, 5000.0, 2001)
+    message = "average_over_heralds: times must start at or after 0"
+    with pytest.raises(ps.ValidationError, match=f"^{message}"):
+        ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 8)
+
+
 class TestClosedForms:
     def test_degenerate_levels_all_ones(self):
         degenerate = ps.MolecularSystem(((18000.0, 1.0), (18000.0, 1.0)))
