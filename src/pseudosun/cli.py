@@ -41,6 +41,7 @@ from .heralded import (
 )
 from .dynamics import (
     DensityTrajectory,
+    NormalizationMode,
     evolve_unconditional,
     normalize_trajectory,
 )
@@ -113,8 +114,11 @@ def _table(name: str, columns: list[str], rows: np.ndarray, title: str, extra=()
     return write
 
 
-def _trajectory_table(name: str, traj: DensityTrajectory, title: str, extra=()):
-    """Columns t_fs, re_rho_ab, im_rho_ab for all a <= b (1-based)."""
+def _trajectory_table(
+    name: str, traj: DensityTrajectory, mode: NormalizationMode, title: str, extra=()
+):
+    """Normalize the trajectory by mode; columns t_fs, re_rho_ab, im_rho_ab for a <= b (1-based)."""
+    traj = normalize_trajectory(traj, mode)
     dim = traj.dim
     columns = ["t_fs"]
     series = [traj.times.points]
@@ -175,65 +179,55 @@ def _run_dynamics(block: dict, seed: int | None) -> list[Callable]:
         lights.append((config.blackbody_output, "black-body", reference))
     tables = []
     for name, light, spectrum in lights:
-        traj = normalize_trajectory(
-            evolve_unconditional(
-                molecule, spectrum, config.times, amplitude_ref=config.pdc.signal_center
-            ),
-            config.normalization,
+        traj = evolve_unconditional(
+            molecule, spectrum, config.times, amplitude_ref=config.pdc.signal_center
         )
-        tables.append(_trajectory_table(name, traj, f"Excited-state dynamics ({light} light)"))
+        title = f"Excited-state dynamics ({light} light)"
+        tables.append(_trajectory_table(name, traj, config.normalization, title))
     return tables
+
+
+def _heralded_trajectory(config, herald_time: float) -> DensityTrajectory:
+    """The raw trajectory of config's molecule under its field heralded at herald_time."""
+    field = heralded_field(config.times, herald_time, config.pdc, config.field_grid, config.method)
+    return evolve_heralded(config.molecule.system, field)
 
 
 def _run_heralded(block: dict, seed: int | None) -> list[Callable]:
     """Trajectories conditioned on idler detection times."""
     config = parse_heralded(block)
-    molecule = config.molecule.system
     tables = []
     for herald_time in config.herald_times:
-        field = heralded_field(
-            config.times, herald_time, config.pdc, config.field_grid, config.method
-        )
-        traj = normalize_trajectory(evolve_heralded(molecule, field), config.normalization)
+        traj = _heralded_trajectory(config, herald_time)
         tag = format_value(herald_time)
         title = f"Heralded dynamics, herald at {tag} fs"
         extra = (f"# t_i_fs: {tag}",)
-        tables.append(_trajectory_table(config.herald_output(herald_time), traj, title, extra))
+        name = config.herald_output(herald_time)
+        tables.append(_trajectory_table(name, traj, config.normalization, title, extra))
 
     if config.average is not None:
-        averaged = normalize_trajectory(
-            average_over_heralds(
-                molecule,
-                config.pdc,
-                config.field_grid,
-                config.times,
-                config.average.samples,
-                method=config.method,
-                pad=config.average.pad,
-                sampling=config.average.sampling,
-                seed=seed,
-            ),
-            config.normalization,
+        averaged = average_over_heralds(
+            config.molecule.system,
+            config.pdc,
+            config.field_grid,
+            config.times,
+            config.average.samples,
+            method=config.method,
+            pad=config.average.pad,
+            sampling=config.average.sampling,
+            seed=seed,
         )
-        tables.append(
-            _trajectory_table(
-                config.average_output,
-                averaged,
-                f"Herald-averaged dynamics ({config.average.samples} samples)",
-            )
-        )
+        title = f"Herald-averaged dynamics ({config.average.samples} samples)"
+        name = config.average_output
+        tables.append(_trajectory_table(name, averaged, config.normalization, title))
     return tables
 
 
 def _run_coincidence(block: dict, seed: int | None) -> list[Callable]:
     """Two-photon coincidence signal for one herald time."""
     config = parse_coincidence(block)
-    molecule = config.molecule.system
-    field = heralded_field(
-        config.times, config.herald_time, config.pdc, config.field_grid, config.method
-    )
-    signal = coincidence_signal(molecule, evolve_heralded(molecule, field))
-    rows = np.column_stack([config.times.points, signal / np.max(np.abs(signal))])
+    traj = _heralded_trajectory(config, config.herald_time)
+    rows = np.column_stack([config.times.points, coincidence_signal(config.molecule.system, traj)])
     title = f"Coincidence signal, herald at {format_value(config.herald_time)} fs"
     return [_table(config.output, ["t_fs", "S"], rows, title)]
 

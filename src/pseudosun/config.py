@@ -203,6 +203,14 @@ def _check_normalization(molecule: Molecule, mode: NormalizationMode) -> None:
         )
 
 
+def _check_field_grid(method: FieldMethod, field_grid: FrequencyGrid | None) -> None:
+    """Only the exact field integrates over a frequency grid; the rect field would ignore it."""
+    if field_grid is not None and method is not FieldMethod.EXACT_QUADRATURE:
+        raise _RuleError(
+            f"field_grid: only method exact_quadrature uses a field grid, got method {method.value}"
+        )
+
+
 def _check_outputs(config, keys: tuple[str, ...], tables: list, texts=()) -> None:
     """The rules on the files one command writes, each error naming its key.
 
@@ -351,6 +359,7 @@ class HeraldedConfig(_TrajectoryConfig):
         if len(set(self.herald_times)) != len(self.herald_times):
             raise _RuleError(f"herald_times: duplicate herald times in {list(self.herald_times)}")
         super().__post_init__()
+        _check_field_grid(self.method, self.field_grid)
         _check_normalization(self.molecule, self.normalization)
         if self.average is not None:
             try:
@@ -381,6 +390,7 @@ class CoincidenceConfig(_TrajectoryConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_field_grid(self.method, self.field_grid)
         _check_outputs(self, ("output",), [("output", self.output)])
 
 

@@ -155,14 +155,12 @@ class DensityTrajectory:
         return float(np.max(second[nonzero] / leading[nonzero]))
 
 
-def _amplitude_weight(spectrum: PhotonSpectrum, amplitude_ref: float | None) -> np.ndarray:
+def _amplitude_weight(spectrum: PhotonSpectrum, amplitude_ref: float) -> np.ndarray:
     """Trapezoid weights times the square-root-of-frequency coupling, squared.
 
     The reference frequency only sets an overall constant and cancels in any
-    normalized output; it defaults to the grid midpoint.
+    normalized output.
     """
-    if amplitude_ref is None:
-        amplitude_ref = 0.5 * (spectrum.grid.min + spectrum.grid.max)
     if not amplitude_ref > 0:
         raise ValidationError(f"amplitude_ref must be > 0, got {amplitude_ref}")
     weights = trapezoid_weights(spectrum.grid.count, spectrum.grid.spacing)
@@ -216,7 +214,7 @@ def evolve_unconditional(
     mol: MolecularSystem,
     spectrum: PhotonSpectrum,
     times: TimeGrid,
-    amplitude_ref: float | None = None,
+    amplitude_ref: float,
 ) -> DensityTrajectory:
     """Raw excited-state trajectory under stationary light switched on at t = 0.
 

@@ -301,11 +301,11 @@ def average_over_heralds(
 def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> np.ndarray:
     """Two-photon coincidence observable: the dipole quadratic form of the trajectory.
 
-    Real by Hermiticity (constant prefactors are left to output
-    normalization), so the real part is returned. Raises NumericalError when
-    the largest |real part| is zero or not finite, or when the imaginary
-    residue exceeds 1e-10 times it, which means the trajectory is not
-    Hermitian.
+    Real by Hermiticity, so its real part is returned, divided by its largest
+    absolute value: the signal has peak 1, and constant prefactors drop out.
+    Raises NumericalError when that peak is zero or not finite, or when the
+    imaginary residue exceeds 1e-10 times it, which means the trajectory is
+    not Hermitian.
     """
     mu = mol.dipoles
     raw = np.einsum("a,tab,b->t", mu, trajectory.matrices, mu)
@@ -314,4 +314,4 @@ def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> n
         raise NumericalError(f"coincidence: signal peak is zero or non-finite ({scale})")
     if not np.max(np.abs(raw.imag)) <= 1e-10 * scale:
         raise NumericalError("coincidence: signal has a non-negligible imaginary part")
-    return raw.real
+    return raw.real / scale

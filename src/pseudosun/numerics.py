@@ -30,8 +30,6 @@ C_CM_PER_FS = 2.99792458e-5
 #: Second radiation constant hc/k_B in cm*K.
 C2_CM_K = 1.4387769
 
-_SINC_TAYLOR_CUTOFF = 1e-4
-
 
 def angular_frequency(wavenumber):
     """Phase rate in rad/fs for a wavenumber (or array of wavenumbers) in cm^-1."""
@@ -39,20 +37,14 @@ def angular_frequency(wavenumber):
 
 
 def sinc(x):
-    """Unnormalized sinc, sin(x)/x, total on the reals.
+    """Unnormalized sinc, sin(x)/x, total on the reals: 1.0 at +0 and -0.
 
-    Below |x| = 1e-4 the Taylor form 1 - x^2/6 + x^4/120 replaces the
-    quotient, so the removable singularity never touches a division. The
-    quotient is formed once, in place, and the Taylor form only on the
-    entries it replaces: the result takes one array of x's size, plus the
-    boolean mask.
+    Every nonzero x takes the quotient, which for small |x| is already
+    within about an ulp of the true value, so only an exact zero needs the
+    limit. It allocates the result, the sine and the boolean mask.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SINC_TAYLOR_CUTOFF
-    out = np.sin(x, out=np.empty_like(x))
-    np.divide(out, x, out=out, where=~small)
-    tiny = x[small]
-    out[small] = 1.0 - tiny * tiny / 6.0 + tiny**4 / 120.0
+    out = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -72,8 +64,11 @@ class _UniformGrid:
             raise ValidationError(f"{kind}: endpoints must be finite")
         if not self.max > self.min:
             raise ValidationError(f"{kind}: max ({self.max}) must exceed min ({self.min})")
-        if int(self.count) != self.count or self.count < 2:
-            raise ValidationError(f"{kind}: count must be an integer >= 2, got {self.count}")
+        # Below 2**60 points the float64 array takes under 2**63 bytes, which numpy can address.
+        if int(self.count) != self.count or not 2 <= self.count < 2**60:
+            raise ValidationError(
+                f"{kind}: count must be an integer >= 2 and below 2**60, got {self.count}"
+            )
 
     @property
     def spacing(self) -> float:

@@ -405,6 +405,52 @@ class TestBoundaryRejection:
         assert capsys.readouterr().err.startswith(f"error: {command}.{key}.min: must be > 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["heralded", "coincidence"])
+    def test_field_grid_needs_exact_method(self, tmp_path, capsys, monkeypatch, command):
+        # The rect field ignored a field grid, and the run exited 0.
+        field_grid = {"min": 1.0, "max": 2.0, "count": 2}
+        block = dict(SMALL_HERALDED, field_grid=field_grid)
+        if command == "coincidence":
+            block["herald_time"] = block.pop("herald_times")[0]
+        del block["method"]  # the default, rect_approx
+        getattr(config_module, f"parse_{command}")(dict(block, method="exact_quadrature"))
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the config was checked")
+
+        monkeypatch.setattr("pseudosun.cli.heralded_field", no_compute)
+        config = write_config(tmp_path / "grid.json", {command: block})
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}.field_grid: only method exact_quadrature")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, kind", [("grid", "FrequencyGrid"), ("times", "TimeGrid")])
+    def test_unaddressable_grid_count_names_path(self, tmp_path, capsys, key, kind):
+        # numpy cannot address 10**30 points: this ended in a traceback with exit 1.
+        block = small_dynamics_block()
+        block[key] = dict(block[key], count=10**30)
+        config = write_config(tmp_path / "huge.json", {"dynamics": block})
+        out = tmp_path / "run"
+        assert main(["dynamics", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dynamics.{key}: {kind}: count must be an integer >= 2 and")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unaddressable_default_field_grid_is_bad_input(self, tmp_path, capsys):
+        # The default exact field grid over a 1e300 fs span would need about 4e301 points.
+        block = dict(SMALL_EXACT, times=dict(SMALL_EXACT["times"], max=1e300), herald_times=[10.0])
+        config = write_config(tmp_path / "span.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FrequencyGrid: count must be an integer >= 2 and below 2**60")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
         block = dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0})
         config = write_config(tmp_path / "her.json", {"heralded": block})
@@ -679,6 +725,19 @@ class TestCoincidenceCommand:
         t = rows[:, 0]
         assert np.all(rows[t < 18.0, 1] == 0.0)
         assert np.all(np.abs(rows[t > 22.0, 1] - 1.0) < 1e-9)
+
+    def test_csv_holds_the_normalized_signal(self, tmp_path):
+        block = dict(SMALL_EXACT, herald_time=20.0)
+        config = write_config(tmp_path / "coin.json", {"coincidence": block})
+        out = tmp_path / "run"
+        assert main(["coincidence", "--config", config, "--out", str(out)]) == 0
+        parsed = config_module.parse_coincidence(block)
+        field = ps.heralded_field(parsed.times, 20.0, parsed.pdc, method=parsed.method)
+        mol = parsed.molecule.system
+        signal = ps.coincidence_signal(mol, ps.evolve_heralded(mol, field))
+        _, _, rows = read_csv(out / "coincidence.csv")
+        assert rows[:, 1].tobytes() == signal.tobytes()
+        assert np.max(np.abs(rows[:, 1])) == 1.0
 
     def test_zero_signal_is_numerical_failure(self, tmp_path, capsys):
         # The rect pulse at 1000 fs never reaches the 0-20 fs window.

@@ -16,6 +16,13 @@ class TestGrids:
         assert np.array_equal(grid.points, [100.0, 125.0, 150.0, 175.0, 200.0])
         assert grid.spacing == 25.0
 
+    def test_count_numpy_can_address(self):
+        # 2**60 float64 points would take 2**63 bytes, past what numpy can index.
+        assert TimeGrid(0.0, 1.0, 2**60 - 1).count == 2**60 - 1
+        for count in (2**60, 10**30):
+            with pytest.raises(ValidationError, match="below 2\\*\\*60"):
+                FrequencyGrid(0.0, 1.0, count)
+
     def test_time_grid_allows_negative_times(self):
         grid = TimeGrid(-5.0, 5.0, 3)
         assert grid.points[0] == -5.0
@@ -107,17 +114,17 @@ class TestSinc:
         below, above = 0.9999e-4, 1.0001e-4
         assert abs(sinc(below) - sinc(above)) < 1e-12
 
-    def test_matches_two_branch_form_bit_for_bit(self):
-        # the earlier form, which built both branches over the whole array
+    def test_matches_quotient_bit_for_bit(self):
+        # sin(x)/x for every nonzero x, however small, and the limit 1.0 at +0 and -0
         x = np.concatenate(
-            [[0.0, 3e-5, -3e-5, 0.9999e-4, -1e-4, 1e-4], np.linspace(-3e-4, 3e-4, 6001)]
+            [[3e-5, -3e-5, 0.9999e-4, -1e-4, 1e-4, 5e-324, -1e-300], np.linspace(-3e-4, 3e-4, 6000)]
         )
         x = np.concatenate([x, rng().uniform(-200.0, 200.0, size=4000)])
-        small = np.abs(x) < 1e-4
-        safe = np.where(small, 1.0, x)
-        want = np.where(small, 1.0 - x * x / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
+        want = np.array([math.sin(v) / v for v in x])
         assert np.array_equal(sinc(x), want)
-        assert all(sinc(v) == w for v, w in zip(x[:6], want[:6]))
+        assert all(sinc(v) == w for v, w in zip(x[:7], want[:7]))
+        assert np.array_equal(sinc(np.array([0.0, -0.0])), [1.0, 1.0])
+        assert sinc(0.0) == 1.0 and sinc(-0.0) == 1.0
 
     def test_memory_stays_within_three_arrays(self):
         # N of the default exact-field grid at a 5,000 fs span
