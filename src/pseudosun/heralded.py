@@ -102,7 +102,9 @@ def default_field_grid(params: PdcParams, time_span: float | None = None) -> Fre
     spacing = lobe_width / DEFAULT_POINTS_PER_LOBE
     if time_span is not None and time_span > 0:
         spacing = min(spacing, 1.0 / (C_CM_PER_FS * 2.0 * time_span))
-    count = ceil((hi - lo) / spacing) + 1
+    intervals = (hi - lo) / spacing
+    # ceil fails on inf and nan; FrequencyGrid rejects such a count (or the endpoints) itself.
+    count = ceil(intervals) + 1 if isfinite(intervals) else intervals
     return FrequencyGrid(lo, hi, count)
 
 

@@ -65,7 +65,8 @@ class _UniformGrid:
         if not self.max > self.min:
             raise ValidationError(f"{kind}: max ({self.max}) must exceed min ({self.min})")
         # Below 2**60 points the float64 array takes under 2**63 bytes, which numpy can address.
-        if int(self.count) != self.count or not 2 <= self.count < 2**60:
+        # The range test comes first, so int() never sees an inf or nan count.
+        if not 2 <= self.count < 2**60 or int(self.count) != self.count:
             raise ValidationError(
                 f"{kind}: count must be an integer >= 2 and below 2**60, got {self.count}"
             )

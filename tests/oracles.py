@@ -6,9 +6,10 @@ field correlation function is a direct frequency sum, the density-matrix
 evolution is a direct double-time quadrature of that correlation, the
 exact heralded field is a dense T x N phase-matrix sum (and the same sum
 through scipy's chirp-z transform), and the coincidence quadratic form is
-an explicit double loop. The recurrence of the unconditional dynamics is
-kept here in its plain per-step form, one matmul per time, as the reference
-the package's blocked form must match bit for bit.
+an explicit double loop. The recurrence of the unconditional dynamics,
+which now serves only the far bins before 1 fs, is kept here in its plain
+per-step form, one matmul per time, as the reference the package's blocked
+form must match bit for bit.
 """
 
 from __future__ import annotations

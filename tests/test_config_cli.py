@@ -451,6 +451,26 @@ class TestBoundaryRejection:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entanglement_time, message",
+        [(1e-300, "count must be an integer >= 2 and below 2**60, got inf"),
+         (1e-310, "endpoints must be finite")],
+    )
+    def test_overflowing_default_field_grid_is_bad_input(
+        self, tmp_path, capsys, entanglement_time, message
+    ):
+        # (hi - lo) / spacing overflowed to inf, and ceil() ended in a traceback with
+        # exit 1. At 1e-310 the lobe width, hence the upper endpoint, is inf as well.
+        pdc = dict(SMALL_EXACT["pdc"], entanglement_time=entanglement_time)
+        times = dict(SMALL_EXACT["times"], max=1e300)
+        block = dict(SMALL_EXACT, pdc=pdc, times=times, herald_times=[10.0])
+        config = write_config(tmp_path / "span.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: FrequencyGrid: {message}\n"
+        assert not out.exists()
+
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
         block = dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0})
         config = write_config(tmp_path / "her.json", {"heralded": block})

@@ -10,6 +10,7 @@ from pseudosun.dynamics import (
     _FOURIER_FROM,
     _NEAR_THETA,
     _amplitude_weight,
+    _shifted_overlaps,
     _stepped_overlaps,
     _window_kernel,
 )
@@ -218,7 +219,7 @@ class TestEvolveUnconditional:
 
 
 class TestRecurrenceKernel:
-    """The stepped window kernel against the direct form at every time."""
+    """The whole trajectory against the direct form at every time: long, late, theta = 0."""
 
     GRIDS = {
         "long": (ps.TimeGrid(0.0, 2000.0, 20001), 101),
@@ -294,6 +295,75 @@ class TestSteppedBlocks:
         assert peak - overlaps.nbytes <= 7 * row
 
 
+TIMES_80 = ps.TimeGrid(0.0, 80.0, 801)
+
+
+class TestShiftedOverlaps:
+    """The shift-identity sums against the direct kernel at every time, and their memory."""
+
+    @staticmethod
+    def direct(theta, weight, times):
+        """sum_n weight_n conj(K_a,n) K_b,n at every time, entries a <= b only."""
+        overlaps = np.empty((times.count, theta.shape[0], theta.shape[0]), dtype=complex)
+        for k, t in enumerate(times.points):
+            kernel = _window_kernel(theta, t)
+            overlaps[k] = (kernel.conj() * weight) @ kernel.T
+        return np.triu(overlaps)
+
+    @staticmethod
+    def shifted(mol, spectrum, times, bins=slice(None)):
+        theta, weight = TestSteppedBlocks.bins(mol, spectrum)
+        theta, weight = theta[:, bins], weight[bins]
+        got = _shifted_overlaps(theta, weight, angular_frequency(mol.energies), times)
+        assert got.shape == (times.count, mol.size, mol.size)
+        assert relative_frobenius(got, TestShiftedOverlaps.direct(theta, weight, times)) <= 1e-12
+        return got
+
+    # 16 is a perfect square, 17 one more; W * M exceeds T at 3 (2 * 2), 7 (3 * 3) and 17 (5 * 4)
+    @pytest.mark.parametrize("count", [2, 3, 7, 16, 17])
+    def test_time_counts(self, count):
+        self.shifted(TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 50.0, count))
+
+    @pytest.mark.parametrize("start", [0.0, 3.7])
+    @pytest.mark.parametrize("levels", list(TestSteppedBlocks.LEVELS))
+    def test_levels_and_starts(self, levels, start):
+        mol = TestSteppedBlocks.LEVELS[levels]
+        got = self.shifted(mol, small_spectrum(321), ps.TimeGrid(start, start + 60.0, 601))
+        # exactly zero at turn-on; on a later grid no formed entry is zero
+        upper = np.triu_indices(levels)
+        assert np.all(got[0] == 0.0) if start == 0.0 else np.all(got[0][upper] != 0.0)
+
+    def test_no_bins(self):
+        got = self.shifted(FIVE_LEVEL, small_spectrum(161), TIMES_80, bins=slice(0))
+        assert np.all(got == 0.0)
+
+    def test_several_chunks(self):
+        spectrum = small_spectrum(1601)
+        width = int(np.ceil(np.sqrt(TIMES_80.count)))
+        assert spectrum.grid.count > 3 * (_BLOCK_VALUES // 2 // width)
+        self.shifted(TWO_LEVEL, spectrum, TIMES_80)
+
+    def test_peak_memory_is_a_few_tables(self):
+        """On fig2's near bins the peak stays the result plus a few _BLOCK_VALUES tables.
+
+        At two levels the offset, start and weighted start kernels hold one table
+        each; the summed products and two temporaries of one chunk add under three.
+        """
+        theta, weight = TestSteppedBlocks.bins(TWO_LEVEL, ps.mean_photon_number(DYN_GRID, REF_PDC))
+        near = np.any(np.abs(theta) < _NEAR_THETA, axis=0)
+        theta, weight = theta[:, near].copy(), weight[near].copy()
+        level_ang = angular_frequency(TWO_LEVEL.energies)
+        assert theta.shape == (2, 533)
+        tracemalloc.start()
+        try:
+            overlaps = _shifted_overlaps(theta, weight, level_ang, TIMES_100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = _BLOCK_VALUES * np.dtype(complex).itemsize
+        assert peak - overlaps.nbytes <= 6 * table
+
+
 def near_far_split(mol, spectrum, times):
     """Bins within _NEAR_THETA of some level, bins beyond it, and rows before _FOURIER_FROM."""
     level_ang = angular_frequency(mol.energies)
@@ -303,11 +373,8 @@ def near_far_split(mol, spectrum, times):
     return near, spectrum.grid.count - near, early
 
 
-TIMES_80 = ps.TimeGrid(0.0, 80.0, 801)
-
-
 class TestNearFarSplit:
-    """Recurrence near the levels and early, chirp-z pair sums elsewhere, vs the direct form."""
+    """Shift identity near the levels, recurrence early, chirp-z pair sums elsewhere, vs direct."""
 
     # name: (molecule, spectrum, times, any of (near bins, far bins, early rows, late rows))
     CASES = {
@@ -361,8 +428,8 @@ class TestNearFarSplit:
         want = evolve_by_direct_kernel(mol, spectrum, times, AMP_REF)
         assert relative_frobenius(got, want) <= 1e-12
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
-        # near bins step at every time, far bins only before the cut
-        assert counts == [times.count, near_far_split(mol, spectrum, times)[2]]
+        # only the far bins before the cut step; the near bins are shifted
+        assert counts == [near_far_split(mol, spectrum, times)[2]]
 
 
 @pytest.mark.parametrize(

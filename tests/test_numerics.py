@@ -19,7 +19,7 @@ class TestGrids:
     def test_count_numpy_can_address(self):
         # 2**60 float64 points would take 2**63 bytes, past what numpy can index.
         assert TimeGrid(0.0, 1.0, 2**60 - 1).count == 2**60 - 1
-        for count in (2**60, 10**30):
+        for count in (2**60, 10**30, float("inf"), float("nan")):
             with pytest.raises(ValidationError, match="below 2\\*\\*60"):
                 FrequencyGrid(0.0, 1.0, count)
 
