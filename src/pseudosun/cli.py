@@ -173,12 +173,17 @@ def _run_dynamics(block: dict, seed: int | None) -> list[Callable]:
     """Unheralded excited-state trajectory (and black-body reference)."""
     config = parse_dynamics(block)
     molecule = config.molecule.system
-    lights = [(config.output, "source", mean_photon_number(config.grid, config.pdc))]
+    lights = [(config.output, "source", mean_photon_number(config.grid, config.pdc), "pdc")]
     if config.blackbody is not None:
         reference = thermal_mean(config.grid, config.blackbody)
-        lights.append((config.blackbody_output, "black-body", reference))
+        lights.append((config.blackbody_output, "black-body", reference, "blackbody.temperature"))
+    for _, light, spectrum, key in lights:
+        if not np.any(spectrum.values):
+            raise ValidationError(
+                f"dynamics.{key}: the {light} spectrum is 0 at every point of dynamics.grid"
+            )
     tables = []
-    for name, light, spectrum in lights:
+    for name, light, spectrum, _ in lights:
         traj = evolve_unconditional(
             molecule, spectrum, config.times, amplitude_ref=config.pdc.signal_center
         )

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .fitting import FitProblem
-from .heralded import FieldMethod, herald_pad
+from .heralded import FieldMethod, default_field_grid, herald_pad
 from .dynamics import MolecularSystem, NormalizationMode
 from .numerics import FrequencyGrid, TimeGrid
 from .output import format_value, script_name
@@ -108,10 +108,6 @@ def command_block(config: dict, command: str) -> dict:
     return config[command]
 
 
-class _RuleError(ValidationError):
-    """A rule across the fields of a config block; the message starts with a key of the block."""
-
-
 _EXPECTED = {float: "a number", int: "an integer", str: "a string"}
 
 
@@ -164,7 +160,7 @@ def _read_block(cls, value, where: str):
             raise ValidationError(f"{where}.{name}: missing required key")
     try:
         return cls(**values)
-    except _RuleError as exc:
+    except FieldError as exc:
         raise ValidationError(f"{where}.{exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
@@ -191,24 +187,38 @@ class Molecule:
 def _check_thermal_grid(key: str, grid: FrequencyGrid) -> None:
     """The grid at key samples a black body, so it must start above 0."""
     if not grid.min > 0:
-        raise _RuleError(f"{key}.min: must be > 0 for a black-body spectrum, got {grid.min}")
+        raise FieldError(f"{key}.min: must be > 0 for a black-body spectrum, got {grid.min}")
 
 
 def _check_normalization(molecule: Molecule, mode: NormalizationMode) -> None:
     """Every off-diagonal entry is proportional to mu_a mu_b, so two levels must be bright."""
     bright = sum(1 for level in molecule.levels if level.dipole)
     if mode is NormalizationMode.MAX_REPART_OFFDIAG and bright < 2:
-        raise _RuleError(
+        raise FieldError(
             f"normalization: max_repart_offdiag needs two levels with nonzero dipoles, got {bright}"
         )
 
 
-def _check_field_grid(method: FieldMethod, field_grid: FrequencyGrid | None) -> None:
-    """Only the exact field integrates over a frequency grid; the rect field would ignore it."""
+def _check_field_grid(
+    method: FieldMethod, field_grid: FrequencyGrid | None, pdc: PdcParams
+) -> None:
+    """Only the exact field integrates over a frequency grid; the rect field would ignore it.
+
+    Without a field_grid the exact field takes the default one, whose window
+    of sinc lobes the entanglement time sets, so that window must be a grid.
+    """
     if field_grid is not None and method is not FieldMethod.EXACT_QUADRATURE:
-        raise _RuleError(
+        raise FieldError(
             f"field_grid: only method exact_quadrature uses a field grid, got method {method.value}"
         )
+    if field_grid is None and method is FieldMethod.EXACT_QUADRATURE:
+        try:
+            default_field_grid(pdc)
+        except ValidationError as exc:
+            raise FieldError(
+                f"pdc.entanglement_time: {pdc.entanglement_time} fs leaves no default field grid "
+                f"around signal_center {pdc.signal_center} ({exc}); set field_grid"
+            ) from None
 
 
 def _check_outputs(config, keys: tuple[str, ...], tables: list, texts=()) -> None:
@@ -222,7 +232,7 @@ def _check_outputs(config, keys: tuple[str, ...], tables: list, texts=()) -> Non
     for key in keys:
         name = getattr(config, key)
         if name in ("", ".", "..") or "/" in name or "\0" in name:
-            raise _RuleError(
+            raise FieldError(
                 f"{key}: must be a plain file name (not empty, '.' or '..', no '/' or NUL), "
                 f"got {name!r}"
             )
@@ -233,7 +243,7 @@ def _check_outputs(config, keys: tuple[str, ...], tables: list, texts=()) -> Non
     owners = {}
     for key, role, name in written:
         if name in owners:
-            raise _RuleError(f"{key}: its {role} {name!r} is also the {owners[name]}")
+            raise FieldError(f"{key}: its {role} {name!r} is also the {owners[name]}")
         owners[name] = f"{role} of {key}"
 
 
@@ -279,9 +289,9 @@ class FitConfig:
     def __post_init__(self):
         _check_thermal_grid("window", self.window)
         if self.max_iters < 1:
-            raise _RuleError(f"max_iters: must be >= 1, got {self.max_iters}")
+            raise FieldError(f"max_iters: must be >= 1, got {self.max_iters}")
         if not self.tol > 0:
-            raise _RuleError(f"tol: must be > 0, got {self.tol}")
+            raise FieldError(f"tol: must be > 0, got {self.tol}")
         _check_outputs(
             self, ("output", "report"), [("output", self.output)], [("report", self.report)]
         )
@@ -309,7 +319,7 @@ class _TrajectoryConfig:
 
     def __post_init__(self):
         if self.times.min < 0:
-            raise _RuleError("times.min: must be >= 0 (light switches on at t = 0)")
+            raise FieldError("times.min: must be >= 0 (light switches on at t = 0)")
 
 
 @dataclass(frozen=True)
@@ -355,17 +365,17 @@ class HeraldedConfig(_TrajectoryConfig):
 
     def __post_init__(self):
         if not self.herald_times:
-            raise _RuleError("herald_times: must list at least one herald time")
+            raise FieldError("herald_times: must list at least one herald time")
         if len(set(self.herald_times)) != len(self.herald_times):
-            raise _RuleError(f"herald_times: duplicate herald times in {list(self.herald_times)}")
+            raise FieldError(f"herald_times: duplicate herald times in {list(self.herald_times)}")
         super().__post_init__()
-        _check_field_grid(self.method, self.field_grid)
+        _check_field_grid(self.method, self.field_grid, self.pdc)
         _check_normalization(self.molecule, self.normalization)
         if self.average is not None:
             try:
                 herald_pad(self.pdc, **vars(self.average))
             except ValidationError as exc:
-                raise _RuleError(f"average: {exc}") from None
+                raise FieldError(f"average: {exc}") from None
         tables = [("output_prefix", self.herald_output(t)) for t in self.herald_times]
         if self.average is not None:
             tables.append(("average_output", self.average_output))
@@ -390,7 +400,7 @@ class CoincidenceConfig(_TrajectoryConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_field_grid(self.method, self.field_grid)
+        _check_field_grid(self.method, self.field_grid, self.pdc)
         _check_outputs(self, ("output",), [("output", self.output)])
 
 

@@ -9,6 +9,13 @@ class ValidationError(PseudosunError, ValueError):
     """Invalid input: bad grid, bad parameters, bad configuration."""
 
 
+class FieldError(ValidationError):
+    """Invalid input whose message starts with the path of the bad field, such as
+    "initial.gain: ...", within the object being built; the config reader puts
+    the path of the block it was building in front.
+    """
+
+
 class NumericalError(PseudosunError, RuntimeError):
     """A computation failed numerically (divergence, NaN, degenerate data)."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitDivergedError, ValidationError
+from .errors import FieldError, FitDivergedError, ValidationError
 from .numerics import FrequencyGrid
 from .pdc import PdcParams, PhotonSpectrum, mean_photon_number
 
@@ -51,9 +51,9 @@ class FitProblem:
         object.__setattr__(self, "free_params", tuple(self.free_params))
         if not self.free_params:
             raise ValidationError("FitProblem: free_params must be non-empty")
-        for name in self.free_params:
+        for index, name in enumerate(self.free_params):
             if name not in PARAM_ORDER:
-                raise ValidationError(f"FitProblem: unknown parameter '{name}'")
+                raise FieldError(f"free_params[{index}]: unknown parameter '{name}'")
             if name not in self.bounds:
                 raise ValidationError(f"FitProblem: missing bounds for '{name}'")
         if len(set(self.free_params)) != len(self.free_params):
@@ -65,9 +65,7 @@ class FitProblem:
                 raise ValidationError(f"FitProblem: bounds for '{name}' must satisfy lo < hi")
             value = getattr(self.initial, name)
             if name in self.free_params and not lo <= value <= hi:
-                raise ValidationError(
-                    f"FitProblem: initial {name} = {value} outside bounds [{lo}, {hi}]"
-                )
+                raise FieldError(f"initial.{name}: {value} is outside bounds [{lo}, {hi}]")
         # Every corner of the free-parameter box must be a valid parameter
         # set; the box is then valid everywhere, so projection cannot
         # produce an unconstructible candidate.

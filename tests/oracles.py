@@ -6,10 +6,9 @@ field correlation function is a direct frequency sum, the density-matrix
 evolution is a direct double-time quadrature of that correlation, the
 exact heralded field is a dense T x N phase-matrix sum (and the same sum
 through scipy's chirp-z transform), and the coincidence quadratic form is
-an explicit double loop. The recurrence of the unconditional dynamics,
-which now serves only the far bins before 1 fs, is kept here in its plain
-per-step form, one matmul per time, as the reference the package's blocked
-form must match bit for bit.
+an explicit double loop. The running sums of the unconditional dynamics
+are kept here as a plain loop, one addition per step, as the reference the
+package's blocked sums must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from pseudosun import (
     TimeGrid,
     squeeze_profile,
 )
-from pseudosun.dynamics import _ANCHOR_STEPS, _window_kernel
 from pseudosun.numerics import angular_frequency, trapezoid_weights
 
 
@@ -115,33 +113,22 @@ def evolve_by_double_quadrature(
     return out
 
 
-def stepped_overlaps_per_step(
-    theta: np.ndarray, weight: np.ndarray, times: TimeGrid, count: int
-) -> np.ndarray:
-    """The recurrence's frequency sums at the first count times, one matmul per time.
+def running_sum_per_step(values: np.ndarray, width: int) -> np.ndarray:
+    """Cumulative sums along the last axis, one addition per step, in blocks of width steps.
 
-    K(t + dt) = exp(i*theta*dt) * K(t) + K(theta, dt), recomputed from the
-    direct sinc form every _ANCHOR_STEPS steps from the first time on.
+    Each block's sums start from zero, and each entry adds the totals of the
+    blocks before it, themselves summed one block after another.
     """
-    levels = theta.shape[0]
-    overlaps = np.zeros((count, levels, levels), dtype=complex)
-    if theta.shape[1] == 0:
-        return overlaps
-    step = _window_kernel(theta, times.spacing)
-    rot = np.exp(1j * theta * times.spacing)
-    kernel = np.empty_like(step)
-    scratch = np.empty_like(step)
-    for k, t in enumerate(times.points[:count]):
-        if k % _ANCHOR_STEPS == 0:
-            for level in range(levels):
-                kernel[level] = _window_kernel(theta[level], t)
-        else:
-            kernel *= rot
-            kernel += step
-        np.conjugate(kernel, out=scratch)
-        scratch *= weight
-        overlaps[k] = scratch @ kernel.T
-    return overlaps
+    out = np.empty_like(values)
+    count = values.shape[-1]
+    for row, into in zip(values.reshape(-1, count), out.reshape(-1, count)):
+        offset = partial = 0j
+        for k, value in enumerate(row):
+            if k and k % width == 0:
+                offset, partial = offset + partial, 0j
+            partial += value
+            into[k] = partial + offset
+    return out
 
 
 def field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:

@@ -302,6 +302,24 @@ class TestBoundaryRejection:
                 dict(SMALL_FIT, bounds={"entanglement_time": [8.0, 0.5], "gain": [0.01, 0.5]}),
                 "fit: FitProblem: bounds for 'entanglement_time'",
             ),
+            (
+                "fit",
+                dict(SMALL_FIT, free_params=["x"]),
+                "fit.free_params[0]: unknown parameter 'x'",
+            ),
+            (
+                "fit",
+                dict(SMALL_FIT, initial=dict(SMALL_PDC, gain=1.0)),
+                "fit.initial.gain: 1.0 is outside bounds [0.01, 0.5]",
+            ),
+            (
+                "heralded",
+                dict(
+                    SMALL_EXACT, pdc=dict(SMALL_PDC, entanglement_time=1e300), herald_times=[10.0]
+                ),
+                "heralded.pdc.entanglement_time: 1e+300 fs leaves no default field grid around "
+                "signal_center 12000.0 (FrequencyGrid: max (12000.0) must exceed min (12000.0))",
+            ),
         ],
         ids=[
             "empty-grid",
@@ -316,6 +334,9 @@ class TestBoundaryRejection:
             "zero-max-iters",
             "zero-tol",
             "reversed-bounds",
+            "unknown-free-param",
+            "initial-outside-bounds",
+            "no-default-field-grid",
         ],
     )
     def test_rejection_names_path(self, command, block, message):
@@ -460,15 +481,21 @@ class TestBoundaryRejection:
         self, tmp_path, capsys, entanglement_time, message
     ):
         # (hi - lo) / spacing overflowed to inf, and ceil() ended in a traceback with
-        # exit 1. At 1e-310 the lobe width, hence the upper endpoint, is inf as well.
+        # exit 1. At 1e-310 the lobe width, hence the upper endpoint, is inf as well,
+        # whatever the span, so the config reader rejects it and names the key.
         pdc = dict(SMALL_EXACT["pdc"], entanglement_time=entanglement_time)
         times = dict(SMALL_EXACT["times"], max=1e300)
         block = dict(SMALL_EXACT, pdc=pdc, times=times, herald_times=[10.0])
         config = write_config(tmp_path / "span.json", {"heralded": block})
         out = tmp_path / "run"
         assert main(["heralded", "--config", config, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: FrequencyGrid: {message}\n"
+        error = f"FrequencyGrid: {message}"
+        if entanglement_time == 1e-310:
+            error = (
+                "heralded.pdc.entanglement_time: 1e-310 fs leaves no default field grid "
+                f"around signal_center 12000.0 ({error}); set field_grid"
+            )
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
@@ -628,6 +655,8 @@ class TestDynamicsCommand:
         assert code == 0
         _, _, pdc_rows = read_csv(out / "fig2_dynamics_pdc.csv")
         _, _, bb_rows = read_csv(out / "fig2_dynamics_blackbody.csv")
+        # the reference entry, the peak re_rho_12, is exactly 1
+        assert pdc_rows[:, 3].max() == 1.0
         t = pdc_rows[:, 0]
         window = (t >= 10.0) & (t <= 100.0)
         got, want = pdc_rows[window, 1], bb_rows[window, 1]
@@ -657,6 +686,23 @@ class TestDynamicsCommand:
         config = write_config(tmp_path / "dyn.json", {"dynamics": block})
         assert main(["dynamics", "--config", config, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [("blackbody", {"temperature": 1.0}, "dynamics.blackbody.temperature"),
+         ("pdc", dict(SMALL_PDC, gain=1e-300), "dynamics.pdc")],
+        ids=["cold-blackbody", "tiny-gain"],
+    )
+    def test_spectrum_zero_on_grid_is_bad_input(self, tmp_path, capsys, key, value, path):
+        # both used to evolve a zero trajectory and exit 3 in its normalization
+        block = json.loads(example_config("fig2").read_text())["dynamics"]
+        block[key] = value
+        config = write_config(tmp_path / "fig2.json", {"dynamics": block})
+        out = tmp_path / "run"
+        assert main(["dynamics", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestHeraldedCommand:
     def test_fig3a_plateau(self, tmp_path):
@@ -668,6 +714,8 @@ class TestHeraldedCommand:
         assert any(line.startswith("# t_i_fs:") for line in comments)
         t = rows[:, 0]
         rho11 = rows[:, 1]
+        # the reference entry, the peak population, is exactly 1
+        assert rows[:, [1, 5]].max() == 1.0
         assert np.all(rho11[t < 47.0] == 0.0)
         assert rho11[-1] == pytest.approx(1.0, abs=1e-9)
         rise = t[np.argmax(rho11 >= 0.9)] - t[np.argmax(rho11 >= 0.1)]

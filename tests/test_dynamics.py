@@ -1,19 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import pseudosun as ps
-from pseudosun.dynamics import (
-    _ANCHOR_STEPS,
-    _BLOCK_VALUES,
-    _FOURIER_FROM,
-    _NEAR_THETA,
-    _amplitude_weight,
-    _shifted_overlaps,
-    _stepped_overlaps,
-    _window_kernel,
-)
+from pseudosun.dynamics import _amplitude_weight, _lag_sums, _running_sum, _window_kernel
 from pseudosun.numerics import C_CM_PER_FS, angular_frequency
 
 from conftest import (
@@ -30,7 +22,7 @@ from oracles import (
     correlation_cw,
     evolve_by_double_quadrature,
     relative_frobenius,
-    stepped_overlaps_per_step,
+    running_sum_per_step,
 )
 
 
@@ -228,7 +220,11 @@ class TestRecurrenceKernel:
     }
 
     def test_grids_cover_their_cases(self):
-        assert self.GRIDS["long"][0].count > 50 * _ANCHOR_STEPS
+        # on so coarse a frequency grid the lag sums repeat every 1/(c dnu), about
+        # 556 fs, instead of decaying, and "long" spans more than three periods
+        times, count = self.GRIDS["long"]
+        period = 1.0 / (C_CM_PER_FS * small_spectrum(count).grid.spacing)
+        assert times.max - times.min > 3 * period
         # 18000 cm^-1 is grid point 80 of 15000-21000 with 161 points
         points = small_spectrum(self.GRIDS["theta_zero"][1]).grid.points
         theta = angular_frequency(points) - angular_frequency(TWO_LEVEL.energies[0])
@@ -251,130 +247,98 @@ FIVE_LEVEL = ps.MolecularSystem(
 
 
 class TestSteppedBlocks:
-    """The blocked recurrence against the per-step loop, bit for bit, and its memory."""
+    """The running sums over the time steps, in blocks, against a per-step loop, bit for bit."""
 
     LEVELS = {1: ONE_LEVEL, 2: TWO_LEVEL, 5: FIVE_LEVEL}
 
-    @staticmethod
-    def bins(mol, spectrum):
-        level_ang = angular_frequency(mol.energies)
-        theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
-        return theta, _amplitude_weight(spectrum, AMP_REF)
-
     @pytest.mark.parametrize("start", [0.0, 3.0])
     @pytest.mark.parametrize("levels", list(LEVELS))
-    def test_bit_identical_to_per_step_loop(self, levels, start):
-        theta, weight = self.bins(self.LEVELS[levels], small_spectrum(321))
+    def test_bit_identical_to_per_step_loop(self, levels, start, monkeypatch):
+        shapes = []
+
+        def checked(values):
+            got = _running_sum(values)
+            width = math.ceil(math.sqrt(values.shape[-1]))
+            assert np.array_equal(got, running_sum_per_step(values, width))
+            shapes.append(values.shape)
+            return got
+
+        monkeypatch.setattr(ps.dynamics, "_running_sum", checked)
         times = ps.TimeGrid(start, start + 500.0, 5001)
-        rows = _BLOCK_VALUES // theta.size
-        assert 2 < rows < _ANCHOR_STEPS
-        want = stepped_overlaps_per_step(theta, weight, times, times.count)
-        counts = (1, 2, rows - 1, rows, rows + 1, _ANCHOR_STEPS - 1, _ANCHOR_STEPS + 1, 5001)
-        for count in counts:
-            got = _stepped_overlaps(theta, weight, times, count)
-            assert np.array_equal(got, want[:count]), count
-        assert np.all(want[0] == 0.0) if start == 0.0 else np.all(want[0] != 0.0)
-
-    def test_peak_memory_is_a_few_rows(self):
-        """On fig2's far bins a row is one block: the peak stays a few (L, n) rows.
-
-        Building the step kernel takes about six rows of temporaries; a block of
-        three or more rows would push the peak past seven.
-        """
-        theta, weight = self.bins(TWO_LEVEL, ps.mean_photon_number(DYN_GRID, REF_PDC))
-        far = np.all(np.abs(theta) >= _NEAR_THETA, axis=0)
-        theta, weight = theta[:, far].copy(), weight[far].copy()
-        assert theta.shape == (2, 7659)
-        tracemalloc.start()
-        try:
-            overlaps = _stepped_overlaps(theta, weight, TIMES_100, 300)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        row = theta.size * np.dtype(complex).itemsize
-        assert peak - overlaps.nbytes <= 7 * row
+        got = ps.evolve_unconditional(self.LEVELS[levels], small_spectrum(321), times, AMP_REF)
+        # the lag sums of each pair a <= b into steps, then the steps into the sums
+        pairs = levels * (levels + 1) // 2
+        assert shapes == [(pairs, 5001), (pairs, 5000)]
+        assert np.all(got.matrices[0] == 0.0) if start == 0.0 else np.all(got.matrices[0] != 0.0)
 
 
 TIMES_80 = ps.TimeGrid(0.0, 80.0, 801)
 
 
 class TestShiftedOverlaps:
-    """The shift-identity sums against the direct kernel at every time, and their memory."""
+    """The kernel's lag sums, overlaps of the one-step kernels shifted by whole steps, vs direct."""
 
     @staticmethod
-    def direct(theta, weight, times):
-        """sum_n weight_n conj(K_a,n) K_b,n at every time, entries a <= b only."""
-        overlaps = np.empty((times.count, theta.shape[0], theta.shape[0]), dtype=complex)
-        for k, t in enumerate(times.points):
-            kernel = _window_kernel(theta, t)
-            overlaps[k] = (kernel.conj() * weight) @ kernel.T
-        return np.triu(overlaps)
-
-    @staticmethod
-    def shifted(mol, spectrum, times, bins=slice(None)):
-        theta, weight = TestSteppedBlocks.bins(mol, spectrum)
-        theta, weight = theta[:, bins], weight[bins]
-        got = _shifted_overlaps(theta, weight, angular_frequency(mol.energies), times)
-        assert got.shape == (times.count, mol.size, mol.size)
-        assert relative_frobenius(got, TestShiftedOverlaps.direct(theta, weight, times)) <= 1e-12
+    def matches_direct(mol, spectrum, times):
+        got = ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices
+        want = evolve_by_direct_kernel(mol, spectrum, times, AMP_REF)
+        assert relative_frobenius(got, want) <= 1e-12
         return got
 
-    # 16 is a perfect square, 17 one more; W * M exceeds T at 3 (2 * 2), 7 (3 * 3) and 17 (5 * 4)
+    # 16 is a perfect square, 17 one more; the blocks of the running sums overrun
+    # the times at 3 (2 * 2), 7 (3 * 3) and 17 (5 * 4)
     @pytest.mark.parametrize("count", [2, 3, 7, 16, 17])
     def test_time_counts(self, count):
-        self.shifted(TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 50.0, count))
+        self.matches_direct(TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 50.0, count))
 
     @pytest.mark.parametrize("start", [0.0, 3.7])
     @pytest.mark.parametrize("levels", list(TestSteppedBlocks.LEVELS))
     def test_levels_and_starts(self, levels, start):
         mol = TestSteppedBlocks.LEVELS[levels]
-        got = self.shifted(mol, small_spectrum(321), ps.TimeGrid(start, start + 60.0, 601))
-        # exactly zero at turn-on; on a later grid no formed entry is zero
-        upper = np.triu_indices(levels)
-        assert np.all(got[0] == 0.0) if start == 0.0 else np.all(got[0][upper] != 0.0)
+        got = self.matches_direct(mol, small_spectrum(321), ps.TimeGrid(start, start + 60.0, 601))
+        # exactly zero at turn-on; on a later grid no entry is zero
+        assert np.all(got[0] == 0.0) if start == 0.0 else np.all(got[0] != 0.0)
 
     def test_no_bins(self):
-        got = self.shifted(FIVE_LEVEL, small_spectrum(161), TIMES_80, bins=slice(0))
-        assert np.all(got == 0.0)
-
-    def test_several_chunks(self):
-        spectrum = small_spectrum(1601)
-        width = int(np.ceil(np.sqrt(TIMES_80.count)))
-        assert spectrum.grid.count > 3 * (_BLOCK_VALUES // 2 // width)
-        self.shifted(TWO_LEVEL, spectrum, TIMES_80)
+        dark = ps.PhotonSpectrum(small_spectrum(161).grid, np.zeros(161))
+        assert np.all(self.matches_direct(FIVE_LEVEL, dark, TIMES_80) == 0.0)
 
     def test_peak_memory_is_a_few_tables(self):
-        """On fig2's near bins the peak stays the result plus a few _BLOCK_VALUES tables.
+        """At five levels and 8,001 times the peak stays the result plus a few (L^2, T) tables.
 
-        At two levels the offset, start and weighted start kernels hold one table
-        each; the summed products and two temporaries of one chunk add under three.
+        The lag sums of every ordered pair fill one table; the steps, their
+        sums and the phases of the pairs a <= b are 0.6 table each, and a
+        later start adds the cross lag sums. The chirp-z buffers are 0.1 table.
         """
-        theta, weight = TestSteppedBlocks.bins(TWO_LEVEL, ps.mean_photon_number(DYN_GRID, REF_PDC))
-        near = np.any(np.abs(theta) < _NEAR_THETA, axis=0)
-        theta, weight = theta[:, near].copy(), weight[near].copy()
-        level_ang = angular_frequency(TWO_LEVEL.energies)
-        assert theta.shape == (2, 533)
-        tracemalloc.start()
-        try:
-            overlaps = _shifted_overlaps(theta, weight, level_ang, TIMES_100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        table = _BLOCK_VALUES * np.dtype(complex).itemsize
-        assert peak - overlaps.nbytes <= 6 * table
+        spectrum = ps.mean_photon_number(DYN_GRID, REF_PDC)
+        for start in (0.0, 3.7):
+            times = ps.TimeGrid(start, start + 400.0, 8001)
+            tracemalloc.start()
+            try:
+                traj = ps.evolve_unconditional(FIVE_LEVEL, spectrum, times, AMP_REF)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            table = FIVE_LEVEL.size**2 * times.count * np.dtype(complex).itemsize
+            assert peak - traj.matrices.nbytes <= 6 * table, start
+
+
+#: Detuning in rad/fs (about 530 cm^-1) within which a closed form over
+#: 1/(theta_a theta_b) cancels: the cases below put bins on both sides of it.
+NEAR_THETA = 0.1
 
 
 def near_far_split(mol, spectrum, times):
-    """Bins within _NEAR_THETA of some level, bins beyond it, and rows before _FOURIER_FROM."""
+    """Bins within NEAR_THETA of some level, the bins beyond it, and the times before 1 fs."""
     level_ang = angular_frequency(mol.energies)
     theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
-    near = int(np.count_nonzero(np.any(np.abs(theta) < _NEAR_THETA, axis=0)))
-    early = int(np.count_nonzero(times.points < _FOURIER_FROM))
+    near = int(np.count_nonzero(np.any(np.abs(theta) < NEAR_THETA, axis=0)))
+    early = int(np.count_nonzero(times.points < 1.0))
     return near, spectrum.grid.count - near, early
 
 
 class TestNearFarSplit:
-    """Shift identity near the levels, recurrence early, chirp-z pair sums elsewhere, vs direct."""
+    """Bins near a level and far from all, times before and after |theta| t = 0.1, vs direct."""
 
     # name: (molecule, spectrum, times, any of (near bins, far bins, early rows, late rows))
     CASES = {
@@ -417,19 +381,20 @@ class TestNearFarSplit:
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_direct_kernel(self, name, monkeypatch):
         mol, spectrum, times, _ = self.CASES[name]
-        counts = []
+        calls = []
 
-        def stepped(theta, weight, times, count):
-            counts.append(count)
-            return _stepped_overlaps(theta, weight, times, count)
+        def lag_sums(synthesize, left, right):
+            calls.append(left.shape)
+            return _lag_sums(synthesize, left, right)
 
-        monkeypatch.setattr(ps.dynamics, "_stepped_overlaps", stepped)
+        monkeypatch.setattr(ps.dynamics, "_lag_sums", lag_sums)
         got = ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices
         want = evolve_by_direct_kernel(mol, spectrum, times, AMP_REF)
         assert relative_frobenius(got, want) <= 1e-12
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
-        # only the far bins before the cut step; the near bins are shifted
-        assert counts == [near_far_split(mol, spectrum, times)[2]]
+        # every bin goes through the one kernel: one set of lag sums, and the
+        # cross lag sums of a grid that starts after 0
+        assert calls == [(mol.size, spectrum.grid.count)] * (1 if times.min == 0.0 else 2)
 
 
 @pytest.mark.parametrize(
