@@ -201,6 +201,11 @@ def _heralded_trajectory(config, herald_time: float) -> DensityTrajectory:
 def _run_heralded(block: dict, seed: int | None) -> list[Callable]:
     """Trajectories conditioned on idler detection times."""
     config = parse_heralded(block)
+    if config.average is not None and config.average.sampling == "random" and seed is None:
+        raise ValidationError(
+            "heralded.average.sampling: random sampling needs --seed, so that a rerun "
+            "writes the same average"
+        )
     tables = []
     for herald_time in config.herald_times:
         traj = _heralded_trajectory(config, herald_time)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .errors import FieldError, ValidationError
 from .fitting import FitProblem
-from .heralded import FieldMethod, default_field_grid, herald_pad
+from .heralded import FieldMethod, default_field_grid, field_span, herald_pad
 from .dynamics import MolecularSystem, NormalizationMode
 from .numerics import FrequencyGrid, TimeGrid
 from .output import format_value, script_name
@@ -200,24 +200,42 @@ def _check_normalization(molecule: Molecule, mode: NormalizationMode) -> None:
 
 
 def _check_field_grid(
-    method: FieldMethod, field_grid: FrequencyGrid | None, pdc: PdcParams
+    method: FieldMethod,
+    field_grid: FrequencyGrid | None,
+    pdc: PdcParams,
+    times: TimeGrid,
+    heralds: list[tuple[str, float, float]],
 ) -> None:
     """Only the exact field integrates over a frequency grid; the rect field would ignore it.
 
     Without a field_grid the exact field takes the default one, whose window
-    of sinc lobes the entanglement time sets, so that window must be a grid.
+    of sinc lobes the entanglement time sets and whose spacing resolves the
+    field_span of each (key, first, last) herald range, so that must be a
+    grid. A window too long for even a herald at its center is blamed on
+    times, any other span on the key of its heralds.
     """
     if field_grid is not None and method is not FieldMethod.EXACT_QUADRATURE:
         raise FieldError(
             f"field_grid: only method exact_quadrature uses a field grid, got method {method.value}"
         )
-    if field_grid is None and method is FieldMethod.EXACT_QUADRATURE:
+    if field_grid is not None or method is not FieldMethod.EXACT_QUADRATURE:
+        return
+    try:
+        default_field_grid(pdc)
+    except ValidationError as exc:
+        raise FieldError(
+            f"pdc.entanglement_time: {pdc.entanglement_time} fs leaves no default field grid "
+            f"around signal_center {pdc.signal_center} ({exc}); set field_grid"
+        ) from None
+    center = 0.5 * times.min + 0.5 * times.max
+    for key, first, last in [("times", center, center), *heralds]:
+        span = field_span(times, first, last)
         try:
-            default_field_grid(pdc)
+            default_field_grid(pdc, time_span=span)
         except ValidationError as exc:
             raise FieldError(
-                f"pdc.entanglement_time: {pdc.entanglement_time} fs leaves no default field grid "
-                f"around signal_center {pdc.signal_center} ({exc}); set field_grid"
+                f"{key}: a herald {span:.6g} fs from the far end of the window leaves no "
+                f"default field grid ({exc}); set field_grid"
             ) from None
 
 
@@ -369,13 +387,15 @@ class HeraldedConfig(_TrajectoryConfig):
         if len(set(self.herald_times)) != len(self.herald_times):
             raise FieldError(f"herald_times: duplicate herald times in {list(self.herald_times)}")
         super().__post_init__()
-        _check_field_grid(self.method, self.field_grid, self.pdc)
-        _check_normalization(self.molecule, self.normalization)
+        heralds = [("herald_times", min(self.herald_times), max(self.herald_times))]
         if self.average is not None:
             try:
-                herald_pad(self.pdc, **vars(self.average))
+                pad = herald_pad(self.pdc, **vars(self.average))
             except ValidationError as exc:
                 raise FieldError(f"average: {exc}") from None
+            heralds.append(("average", self.times.min - pad, self.times.max + pad))
+        _check_field_grid(self.method, self.field_grid, self.pdc, self.times, heralds)
+        _check_normalization(self.molecule, self.normalization)
         tables = [("output_prefix", self.herald_output(t)) for t in self.herald_times]
         if self.average is not None:
             tables.append(("average_output", self.average_output))
@@ -400,7 +420,8 @@ class CoincidenceConfig(_TrajectoryConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_field_grid(self.method, self.field_grid, self.pdc)
+        heralds = [("herald_time", self.herald_time, self.herald_time)]
+        _check_field_grid(self.method, self.field_grid, self.pdc, self.times, heralds)
         _check_outputs(self, ("output",), [("output", self.output)])
 
 

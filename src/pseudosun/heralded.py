@@ -15,10 +15,18 @@ numerics._ChirpZ synthesizer that the unconditional dynamics use too), since
 both the frequencies and the times lie on uniform grids: O((N + T) log(N +
 T)) time and O(N + T) memory for N frequencies and T times. The transform runs
 over the steps k of the time grid; the herald enters only through its
-coefficients, p_n exp(i w_n (t_h - t_0)) with t_0 the first time. A single
+coefficients, p_n exp(i w_n (t_h - t_0)) with t_0 the first time. With
+B = ceil(sqrt(N)) and n = q B + r the phase factorizes exactly,
+exp(i w_n s) = exp(i (w_min + q B dw) s) exp(i r dw s), so a herald costs
+about 2 sqrt(N) exponentials (a coarse and a fine phase table), two
+broadcast multiplies of N values into one coefficient buffer kept by the
+source, and one transform pair. The field is within 1e-11 of its peak of
+the one taken with an exponential per frequency, and the phase within a
+factor 2 of its error against an extended-precision reference. A single
 herald and a herald average take their field from one source, which picks
-the method and the frequency grid and builds the transform once, so the
-average is exactly the mean of the single-herald trajectories.
+the method and the frequency grid and builds the tables, the buffer and the
+transform once, so the average is exactly the mean of the single-herald
+trajectories.
 
 Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
@@ -26,10 +34,11 @@ exactly rank one. It is returned as a plain dynamics.DensityTrajectory, like
 the herald average and the unheralded trajectory, so the rank-one defect is
 read the same way on all three. One builder serves a single herald and a
 herald average: it sums the upper-triangle products of each field's
-amplitudes into one total, divides by the field count and makes the result
-exactly Hermitian, as the unheralded trajectories are. The long-time closed
-form, the impulsive (zero-duration) limit, herald-time averaging, and the
-two-photon coincidence observable live here as well.
+amplitudes into one total, in arrays made once per call, divides by the
+field count and makes the result exactly Hermitian, as the unheralded
+trajectories are. The long-time closed form, the impulsive (zero-duration)
+limit, herald-time averaging, and the two-photon coincidence observable live
+here as well.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import ceil, isfinite, isqrt
 
 import numpy as np
 
@@ -102,8 +111,9 @@ def default_field_grid(params: PdcParams, time_span: float | None = None) -> Fre
     spacing = lobe_width / DEFAULT_POINTS_PER_LOBE
     if time_span is not None and time_span > 0:
         spacing = min(spacing, 1.0 / (C_CM_PER_FS * 2.0 * time_span))
-    intervals = (hi - lo) / spacing
-    # ceil fails on inf and nan; FrequencyGrid rejects such a count (or the endpoints) itself.
+    # A span past the float range leaves a spacing of 0, and ceil fails on inf and nan;
+    # FrequencyGrid rejects such a count (or the endpoints) itself.
+    intervals = (hi - lo) / spacing if spacing > 0 else float("inf")
     count = ceil(intervals) + 1 if isfinite(intervals) else intervals
     return FrequencyGrid(lo, hi, count)
 
@@ -126,6 +136,15 @@ def heralded_field(
     return HeraldedField(times, field_at(herald_time))
 
 
+def field_span(times: TimeGrid, first: float, last: float) -> float:
+    """Largest distance from a herald time in [first, last] to a time of the window.
+
+    The default exact field grid resolves this span; the config reader checks
+    that grid at the span the computation will use.
+    """
+    return max(times.max - first, last - times.min)
+
+
 def _field_source(
     times: TimeGrid,
     params: PdcParams,
@@ -137,6 +156,9 @@ def _field_source(
     """The field on times as a function of the herald time, for heralds in [first, last].
 
     The default exact grid resolves the largest herald-to-window distance.
+    The exact field keeps its profile zero-padded to a (rows, B) array and one
+    coefficient buffer of that shape; each herald writes the profile times
+    its two phase tables into the buffer and synthesizes from it.
     """
     if method is FieldMethod.RECT_APPROX:
         points = times.points
@@ -144,11 +166,37 @@ def _field_source(
     if method is not FieldMethod.EXACT_QUADRATURE:
         raise ValidationError(f"unknown field method {method!r}")
     if grid is None:
-        grid = default_field_grid(params, time_span=max(times.max - first, last - times.min))
-    profile = _field_profile(params, grid)
-    omega = angular_frequency(grid.points)
+        grid = default_field_grid(params, time_span=field_span(times, first, last))
+    phases = _phase_tables(grid)
+    coarse, fine = phases(0.0)  # for the sizes of the tables
+    profile = np.zeros((coarse.size, fine.size))
+    profile.reshape(-1)[: grid.count] = _field_profile(params, grid)
+    coefficients = np.empty(profile.shape, dtype=complex)
+    head = coefficients.reshape(-1)[: grid.count]
     synthesize = _ChirpZ(grid, times.spacing, times.count)
-    return lambda herald_time: synthesize(profile * np.exp(1j * omega * (herald_time - times.min)))
+
+    def field_at(herald_time: float) -> np.ndarray:
+        coarse, fine = phases(herald_time - times.min)
+        np.multiply(profile, coarse[:, None], out=coefficients)
+        np.multiply(coefficients, fine, out=coefficients)
+        return synthesize(head)
+
+    return field_at
+
+
+def _phase_tables(grid: FrequencyGrid) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """exp(i w_n s) for the N grid frequencies, as two tables of about sqrt(N) phasors.
+
+    With B = ceil(sqrt(N)) and n = q B + r, w_n = (w_min + q B dw) + r dw, so
+    exp(i w_n s) = coarse[q] * fine[r]: the function of s returns coarse
+    (ceil(N / B) values) and fine (B values), about 2 sqrt(N) exponentials
+    in place of N.
+    """
+    width = isqrt(grid.count - 1) + 1
+    rows = -(-grid.count // width)
+    coarse = angular_frequency(grid.min + grid.spacing * np.arange(0, rows * width, width))
+    fine = angular_frequency(grid.spacing * np.arange(width))
+    return lambda s: (np.exp(1j * s * coarse), np.exp(1j * s * fine))
 
 
 def _rect_field(delay: np.ndarray, params: PdcParams) -> np.ndarray:
@@ -189,22 +237,35 @@ def _assemble(
     """Mean of the rank-one matrices phi phi^dagger over the fields, exactly Hermitian.
 
     phi is the dipole-weighted cumulative trapezoid response of each level to
-    one field. Its products for a <= b go straight into one total, one field
-    at a time, as a (n_times, L, L) array per field had the allocator fault in
-    fresh pages for every herald. _hermitian fills in the lower triangle.
+    one field. Its products for a <= b go straight into one (pairs, n_times)
+    total, one field at a time. Every array is made once per call and each
+    field is written into them with out=, in the order of operations of
+    allocating them per field, so the bits are the same and no temporary is
+    made per field. _hermitian fills in the lower triangle.
     """
     phasors = _level_phasors(mol, times)
     weights = mol.dipoles[:, None] * phasors.conj()
-    pairs = list(zip(*np.triu_indices(mol.size)))
-    total = np.zeros((times.count, mol.size, mol.size), dtype=complex)
+    upper = np.triu_indices(mol.size)
+    half = 0.5 * times.spacing
+    phi = np.empty_like(phasors)
+    conj = np.empty_like(phasors)
+    steps = np.empty((mol.size, times.count - 1), dtype=complex)
+    cumulative = np.zeros_like(phasors)
+    product = np.empty(times.count, dtype=complex)
+    sums = np.zeros((upper[0].size, times.count), dtype=complex)
     for count, values in enumerate(fields, 1):
-        phi = phasors * values[None, :]
-        phi = np.cumsum(0.5 * times.spacing * (phi[:, 1:] + phi[:, :-1]), axis=1)
-        phi = weights * np.concatenate([np.zeros((mol.size, 1), dtype=complex), phi], axis=1)
-        conj = phi.conj()
-        for a, b in pairs:
-            total[:, a, b] += phi[a] * conj[b]
-    return DensityTrajectory(times, _hermitian(total / count))
+        np.multiply(phasors, values, out=phi)
+        np.add(phi[:, 1:], phi[:, :-1], out=steps)
+        np.multiply(half, steps, out=steps)
+        np.cumsum(steps, axis=1, out=cumulative[:, 1:])
+        np.multiply(weights, cumulative, out=phi)
+        np.conjugate(phi, out=conj)
+        for pair, (a, b) in enumerate(zip(*upper)):
+            np.multiply(phi[a], conj[b], out=product)
+            sums[pair] += product
+    total = np.empty((times.count, mol.size, mol.size), dtype=complex)
+    total[:, upper[0], upper[1]] = (sums / count).T
+    return DensityTrajectory(times, _hermitian(total))
 
 
 def long_time_closed_form(

@@ -8,7 +8,10 @@ exact heralded field is a dense T x N phase-matrix sum (and the same sum
 through scipy's chirp-z transform), and the coincidence quadratic form is
 an explicit double loop. The running sums of the unconditional dynamics
 are kept here as a plain loop, one addition per step, as the reference the
-package's blocked sums must match bit for bit.
+package's blocked sums must match bit for bit. The herald phase exp(i w_n s)
+is evaluated in extended precision, and the heralded rank-one builder is
+kept in its allocate-per-field form, as the reference the package's builder
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from pseudosun import (
     TimeGrid,
     squeeze_profile,
 )
-from pseudosun.numerics import angular_frequency, trapezoid_weights
+from pseudosun.dynamics import _hermitian, _level_phasors
+from pseudosun.numerics import C_CM_PER_FS, angular_frequency, trapezoid_weights
 
 
 def pmf_mean(zeta: float, n_max: int) -> float:
@@ -165,6 +169,42 @@ def czt_field(
         profile, times.count, w=np.exp(-1j * dw * times.spacing), a=np.exp(1j * dw * tau0)
     )
     return np.exp(-1j * angular_frequency(grid.min) * tau) * transform
+
+
+def herald_phase_extended(grid: FrequencyGrid, delay: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of w_n delay in np.longdouble, w_n = 2 pi c (min + n spacing).
+
+    pi is the extended-precision value; c, the grid ends and the delay are
+    the float64 values the package uses, converted exactly.
+    """
+    ld = np.longdouble
+    spacing = (ld(grid.max) - ld(grid.min)) / (grid.count - 1)
+    nu = ld(grid.min) + np.arange(grid.count) * spacing
+    angle = 2 * np.arccos(ld(-1)) * ld(C_CM_PER_FS) * nu * ld(delay)
+    return np.cos(angle), np.sin(angle)
+
+
+def assemble_per_field(
+    mol: MolecularSystem, times: TimeGrid, fields: list[np.ndarray]
+) -> np.ndarray:
+    """Mean of phi phi^dagger over the fields, each field's arrays allocated afresh.
+
+    phi is the dipole-weighted cumulative trapezoid response of each level;
+    the products for a <= b are summed into a (T, L, L) total, which is then
+    divided by the field count and made exactly Hermitian.
+    """
+    phasors = _level_phasors(mol, times)
+    weights = mol.dipoles[:, None] * phasors.conj()
+    pairs = list(zip(*np.triu_indices(mol.size)))
+    total = np.zeros((times.count, mol.size, mol.size), dtype=complex)
+    for count, values in enumerate(fields, 1):
+        phi = phasors * values[None, :]
+        phi = np.cumsum(0.5 * times.spacing * (phi[:, 1:] + phi[:, :-1]), axis=1)
+        phi = weights * np.concatenate([np.zeros((mol.size, 1), dtype=complex), phi], axis=1)
+        conj = phi.conj()
+        for a, b in pairs:
+            total[:, a, b] += phi[a] * conj[b]
+    return _hermitian(total / count)
 
 
 def quadratic_form_by_loops(mol: MolecularSystem, matrices: np.ndarray) -> np.ndarray:

@@ -463,12 +463,60 @@ class TestBoundaryRejection:
 
     def test_unaddressable_default_field_grid_is_bad_input(self, tmp_path, capsys):
         # The default exact field grid over a 1e300 fs span would need about 4e301 points.
+        # The config reader checked the grid without the span and the run exited 2 naming
+        # no key; even a herald at the window's center is 5e299 fs from its ends.
         block = dict(SMALL_EXACT, times=dict(SMALL_EXACT["times"], max=1e300), herald_times=[10.0])
         config = write_config(tmp_path / "span.json", {"heralded": block})
         out = tmp_path / "run"
         assert main(["heralded", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: FrequencyGrid: count must be an integer >= 2 and below 2**60")
+        assert err.startswith(
+            "error: heralded.times: a herald 5e+299 fs from the far end of the window leaves "
+            "no default field grid (FrequencyGrid: count must be an integer >= 2 and below 2**60"
+        )
+        assert err.endswith("); set field_grid\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, change, key, span",
+        [
+            ("heralded", {"herald_times": [1e300]}, "herald_times", "1e+300"),
+            ("heralded", {"times": {"min": 0.0, "max": 1e300, "count": 401}}, "times", "5e+299"),
+            ("heralded", {"average": {"samples": 4, "pad": 1e300}}, "average", "1e+300"),
+            ("coincidence", {"herald_time": 1e300}, "herald_time", "1e+300"),
+            # The span overflows to inf, the spacing to 0: this was a ZeroDivisionError.
+            (
+                "heralded",
+                {"times": {"min": 0.0, "max": 1e308, "count": 401}, "herald_times": [-1e308]},
+                "times",
+                "5e+307",
+            ),
+        ],
+        ids=["herald_times", "times", "average-pad", "coincidence", "overflowing-span"],
+    )
+    def test_default_field_grid_checked_at_the_span_used(
+        self, tmp_path, capsys, monkeypatch, command, change, key, span
+    ):
+        # The field source resolves the largest herald-to-window distance, and the config
+        # reader checks the default grid at that same span (heralded.field_span).
+        heralds = {"herald_times": [10.0]} if command == "heralded" else {"herald_time": 10.0}
+        block = {**SMALL_EXACT, **heralds, **change}
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the config was checked")
+
+        monkeypatch.setattr("pseudosun.cli.heralded_field", no_compute)
+        monkeypatch.setattr("pseudosun.cli.average_over_heralds", no_compute)
+        config = write_config(tmp_path / "span.json", {command: block})
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {command}.{key}: a herald {span} fs from the far end of the window leaves "
+            "no default field grid (FrequencyGrid: count must be"
+        )
+        assert err.endswith("); set field_grid\n")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -494,6 +542,11 @@ class TestBoundaryRejection:
             error = (
                 "heralded.pdc.entanglement_time: 1e-310 fs leaves no default field grid "
                 f"around signal_center 12000.0 ({error}); set field_grid"
+            )
+        else:
+            error = (
+                "heralded.times: a herald 5e+299 fs from the far end of the window leaves no "
+                f"default field grid ({error}); set field_grid"
             )
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
@@ -771,6 +824,23 @@ class TestHeraldedCommand:
         assert main(["heralded", "--config", config, "--out", str(out), "--seed", "42"]) == 0
         comments, _, _ = read_csv(out / "heralded_average.csv")
         assert any(line == "# seed: 42" for line in comments)
+
+    def test_random_sampling_needs_seed(self, tmp_path, capsys, monkeypatch):
+        # Without a seed two runs of one config wrote different averages, each headed
+        # "# seed: none", and exited 0.
+        block = dict(SMALL_HERALDED, average={"samples": 4, "sampling": "random"})
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the seed was checked")
+
+        monkeypatch.setattr("pseudosun.cli.heralded_field", no_compute)
+        config = write_config(tmp_path / "her.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: heralded.average.sampling: random sampling needs --seed")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCoincidenceCommand:

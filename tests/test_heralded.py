@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pseudosun as ps
+from pseudosun.heralded import _assemble, _field_source, _phase_tables
 from pseudosun.numerics import C_CM_PER_FS, angular_frequency
 
 from conftest import (
@@ -24,9 +27,11 @@ from conftest import (
 )
 from locks import EXACT_RECT_FIELD_L2
 from oracles import (
+    assemble_per_field,
     czt_field,
     dense_field,
     field_profile,
+    herald_phase_extended,
     quadratic_form_by_loops,
 )
 
@@ -157,6 +162,60 @@ class TestFieldSynthesizer:
     def test_non_finite_herald_time_rejected(self, method, herald_time):
         with pytest.raises(ps.ValidationError, match="herald_time"):
             ps.heralded_field(TIMES_100, herald_time, REF_PDC, method=method)
+
+
+#: Grid counts from 2 to 10**5: any, perfect squares, one past a perfect square
+#: (one more row of one point) and primes.
+GRID_COUNTS = st.one_of(
+    st.integers(2, 10**5),
+    st.integers(2, 316).map(lambda k: k * k),
+    st.integers(1, 316).map(lambda k: k * k + 1),
+    st.sampled_from([2, 3, 5, 7, 4177, 65537, 99991]),
+)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    count=GRID_COUNTS,
+    low=st.floats(0.0, 2e4),
+    width=st.floats(1e-3, 3e4),
+    delay=st.floats(-1e4, 1e4),
+)
+@example(count=4175, low=0.0, width=ps.default_field_grid(REF_PDC, 102.5).max, delay=102.5)
+@example(count=203599, low=0.0, width=ps.default_field_grid(REF_PDC, 5000.0).max, delay=5000.0)
+def test_phase_tables_as_accurate_as_one_exponential_per_frequency(count, low, width, delay):
+    # exp(i w_n s) = coarse[n // B] * fine[n % B] replaces the N exponentials
+    # np.exp(1j * w_n * s); against an extended-precision reference it must be
+    # no farther off than they are, up to a factor 2 and a few ulps.
+    grid = ps.FrequencyGrid(low, low + width, count)
+    coarse, fine = _phase_tables(grid)(delay)
+    assert coarse.size * fine.size >= count > (coarse.size - 1) * fine.size
+    tables = np.outer(coarse, fine).reshape(-1)[:count]
+    direct = np.exp(1j * angular_frequency(grid.points) * delay)
+    cos, sin = herald_phase_extended(grid, delay)
+
+    def error(phase):
+        return float(np.max(np.hypot(phase.real - cos, phase.imag - sin)))
+
+    assert error(tables) <= 2.0 * error(direct) + 1e-15
+
+
+class TestAssembly:
+    # Three levels, one dipole negative, so every pair a <= b and both signs
+    # pass through the builder; exact fields from one source, as in an average.
+    @pytest.mark.parametrize("mol", [ONE_LEVEL, TWO_LEVEL, THREE_LEVEL], ids=["L1", "L2", "L3"])
+    @pytest.mark.parametrize("heralds", [[50.0], list(np.linspace(-2.5, 102.5, 9))],
+                             ids=["single", "average"])
+    def test_matches_per_field_builder_bit_for_bit(self, mol, heralds):
+        # The builder writes each field into arrays made once per call; in the
+        # order of the reference's arithmetic, it gives the same bits.
+        # A step of 0.05 fs: the half step is no power of two, so scaling by it rounds.
+        times = TIMES_100
+        field_at = _field_source(times, REF_PDC, None, EXACT, heralds[0], heralds[-1])
+        fields = [field_at(h) for h in heralds]
+        got = _assemble(mol, times, fields).matrices
+        assert np.array_equal(got, assemble_per_field(mol, times, fields))
 
 
 class TestEvolveHeralded:
@@ -382,6 +441,28 @@ average = lambda: ps.average_over_heralds(mol, params, None, times, 512)
 average()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 average()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(run.stdout) < 2000
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+    def test_first_average_page_faults_bounded(self):
+        # The CLI makes one average per process, so the first call, at glibc's
+        # default self-adjusting thresholds, is the one a run pays for. With N-
+        # and (L, T)-sized temporaries made per herald it faulted 35,145-35,403
+        # times (12,762 from the second call on under -X dev); with the
+        # builder's arrays and the coefficient buffer made once per call it
+        # faulted 183-193 times, from two working directories and under -X dev.
+        code = f"""
+import resource
+import pseudosun as ps
+mol, params, times = ps.{TWO_LEVEL!r}, ps.{REF_PDC!r}, ps.{TIMES_100!r}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ps.average_over_heralds(mol, params, None, times, 512)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
         env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
