@@ -6,9 +6,9 @@ A config file holds one top-level block per command, e.g.
 
 so a single file can drive several commands. Each block is read into a
 frozen dataclass by one reader driven by the dataclass fields and their type
-hints: a JSON object is a dataclass, a list is a tuple, and every key is a
-field. A key is optional if and only if its field has a default, and an
-absent key takes that default.
+hints: a JSON object is a dataclass, whose keys are its fields, or a
+dict[str, X] of free keys; a list is a tuple. A key is optional if and only
+if its field has a default, and an absent key takes that default.
 
 Parsing is strict: duplicate and unknown keys are rejected anywhere, so are
 the non-standard literals NaN, Infinity and -Infinity and any non-finite
@@ -33,7 +33,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import FieldError, ValidationError
-from .fitting import FitProblem
+from .fitting import FitProblem, _check_settings
 from .heralded import FieldMethod, default_field_grid, field_span, herald_pad
 from .dynamics import MolecularSystem, NormalizationMode
 from .numerics import FrequencyGrid, TimeGrid
@@ -119,6 +119,10 @@ def _read(kind, value, where: str):
     if origin in (typing.Union, types.UnionType):
         # Declared as X | None: an absent key takes the default, a present one must be an X.
         return _read(args[0], value, where)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where}: must be an object")
+        return {key: _read(args[1], v, f"{where}.{key}") for key, v in value.items()}
     if origin is tuple:
         if not isinstance(value, list):
             raise ValidationError(f"{where}: expected a list, got {value!r}")
@@ -239,6 +243,19 @@ def _check_field_grid(
             ) from None
 
 
+def _check_rect_heralds(
+    method: FieldMethod, pdc: PdcParams, times: TimeGrid, heralds: dict[str, float]
+) -> None:
+    """Each herald's rect_approx pulse, nonzero within entanglement_time / 2, must reach a time."""
+    half = 0.5 * pdc.entanglement_time
+    for key, herald in heralds.items():
+        if method is FieldMethod.RECT_APPROX and not (abs(times.points - herald) <= half).any():
+            raise FieldError(
+                f"{key}: the {pdc.entanglement_time} fs rect_approx pulse heralded at {herald} fs "
+                f"reaches no time of times (all over {half} fs away), so the molecule sees no light"
+            )
+
+
 def _check_outputs(config, keys: tuple[str, ...], tables: list, texts=()) -> None:
     """The rules on the files one command writes, each error naming its key.
 
@@ -282,22 +299,12 @@ def parse_spectrum(block: dict) -> SpectrumConfig:
 
 
 @dataclass(frozen=True)
-class FitBounds:
-    """[lo, hi] of each parameter the fit may vary; every free parameter needs one."""
-
-    pump_freq: tuple[float, float] | None = None
-    signal_center: tuple[float, float] | None = None
-    entanglement_time: tuple[float, float] | None = None
-    gain: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
 class FitConfig:
     window: FrequencyGrid
     thermal: ThermalParams
     initial: PdcParams
     free_params: tuple[str, ...]
-    bounds: FitBounds
+    bounds: dict[str, tuple[float, float]]
     max_iters: int = 500
     tol: float = 1e-8
     report: str = "fit_report.txt"
@@ -306,20 +313,12 @@ class FitConfig:
 
     def __post_init__(self):
         _check_thermal_grid("window", self.window)
-        if self.max_iters < 1:
-            raise FieldError(f"max_iters: must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise FieldError(f"tol: must be > 0, got {self.tol}")
+        _check_settings(self.max_iters, self.tol)
         _check_outputs(
             self, ("output", "report"), [("output", self.output)], [("report", self.report)]
         )
-        problem = FitProblem(
-            window=self.window,
-            target=thermal_mean(self.window, self.thermal),
-            free_params=self.free_params,
-            initial=self.initial,
-            bounds={name: pair for name, pair in vars(self.bounds).items() if pair is not None},
-        )
+        target = thermal_mean(self.window, self.thermal)
+        problem = FitProblem(self.window, target, self.free_params, self.initial, self.bounds)
         object.__setattr__(self, "problem", problem)
 
 
@@ -395,6 +394,8 @@ class HeraldedConfig(_TrajectoryConfig):
                 raise FieldError(f"average: {exc}") from None
             heralds.append(("average", self.times.min - pad, self.times.max + pad))
         _check_field_grid(self.method, self.field_grid, self.pdc, self.times, heralds)
+        by_key = {f"herald_times[{k}]": t for k, t in enumerate(self.herald_times)}
+        _check_rect_heralds(self.method, self.pdc, self.times, by_key)
         _check_normalization(self.molecule, self.normalization)
         tables = [("output_prefix", self.herald_output(t)) for t in self.herald_times]
         if self.average is not None:
@@ -422,6 +423,7 @@ class CoincidenceConfig(_TrajectoryConfig):
         super().__post_init__()
         heralds = [("herald_time", self.herald_time, self.herald_time)]
         _check_field_grid(self.method, self.field_grid, self.pdc, self.times, heralds)
+        _check_rect_heralds(self.method, self.pdc, self.times, {"herald_time": self.herald_time})
         _check_outputs(self, ("output",), [("output", self.output)])
 
 

@@ -6,16 +6,22 @@ the black-body curve. Log space keeps the red and blue ends of a window that
 spans orders of magnitude on equal footing; the 1e-12 floor inside the logs
 absorbs exact zeros at sinc nodes.
 
-The optimizer is a bounded derivative-free simplex search. Candidates are
-projected (clipped) into the box rather than rejected, vertex ordering
-breaks objective ties lexicographically on the parameter vector, and
-convergence is declared when the simplex diameter in box-normalized
-coordinates drops below the tolerance. Everything is deterministic.
+FitProblem holds the bounds as a plain mapping from parameter name to (lo,
+hi) and owns every rule on them and on the free parameters; a broken rule
+raises a FieldError naming its path, such as bounds.gain or free_params.
+
+The optimizer is a bounded derivative-free simplex search, its simplex one
+(d + 1, d) array of vertices in the unit box. Candidates are projected
+(clipped) into the box rather than rejected, vertex ordering breaks
+objective ties lexicographically on the parameter vector, and convergence
+is declared when the simplex diameter drops below the tolerance.
+Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,34 +56,30 @@ class FitProblem:
             raise ValidationError("FitProblem: target must be sampled on the window grid")
         object.__setattr__(self, "free_params", tuple(self.free_params))
         if not self.free_params:
-            raise ValidationError("FitProblem: free_params must be non-empty")
+            raise FieldError("free_params: must name at least one parameter")
         for index, name in enumerate(self.free_params):
             if name not in PARAM_ORDER:
                 raise FieldError(f"free_params[{index}]: unknown parameter '{name}'")
             if name not in self.bounds:
-                raise ValidationError(f"FitProblem: missing bounds for '{name}'")
+                raise FieldError(f"bounds.{name}: missing; every free parameter needs [lo, hi]")
         if len(set(self.free_params)) != len(self.free_params):
-            raise ValidationError("FitProblem: duplicate entries in free_params")
+            raise FieldError(f"free_params: duplicate entries in {list(self.free_params)}")
         for name, (lo, hi) in self.bounds.items():
             if name not in PARAM_ORDER:
-                raise ValidationError(f"FitProblem: bounds given for unknown parameter '{name}'")
+                raise FieldError(f"bounds.{name}: unknown parameter; use {', '.join(PARAM_ORDER)}")
             if not lo < hi:
-                raise ValidationError(f"FitProblem: bounds for '{name}' must satisfy lo < hi")
+                raise FieldError(f"bounds.{name}: must satisfy lo < hi, got [{lo}, {hi}]")
             value = getattr(self.initial, name)
             if name in self.free_params and not lo <= value <= hi:
                 raise FieldError(f"initial.{name}: {value} is outside bounds [{lo}, {hi}]")
         # Every corner of the free-parameter box must be a valid parameter
         # set; the box is then valid everywhere, so projection cannot
         # produce an unconstructible candidate.
-        names = _ordered_free(self.free_params)
-        for corner in range(2 ** len(names)):
-            values = {
-                name: self.bounds[name][(corner >> k) & 1] for k, name in enumerate(names)
-            }
+        for corner in itertools.product(*(self.bounds[name] for name in self.free_params)):
             try:
-                dataclasses.replace(self.initial, **values)
+                dataclasses.replace(self.initial, **dict(zip(self.free_params, corner)))
             except ValidationError as exc:
-                raise ValidationError(f"FitProblem: bounds admit invalid parameters ({exc})")
+                raise FieldError(f"bounds: admit invalid parameters ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,19 @@ class FitResult:
     trace: tuple[float, ...] = ()
 
 
-def _ordered_free(free_params) -> tuple[str, ...]:
-    return tuple(name for name in PARAM_ORDER if name in free_params)
-
-
 def fit_objective(params: PdcParams, problem: FitProblem) -> float:
     """Mean squared log-residual between the source spectrum and the target."""
     produced = mean_photon_number(problem.window, params).values
     residual = np.log(produced + LOG_FLOOR) - np.log(problem.target.values + LOG_FLOOR)
     return float(np.mean(residual**2))
+
+
+def _check_settings(max_iters: int, tol: float) -> None:
+    """The iteration limit must be a whole number >= 1 and the tolerance above 0."""
+    if int(max_iters) != max_iters or max_iters < 1:
+        raise FieldError(f"max_iters: must be >= 1, got {max_iters}")
+    if not tol > 0:
+        raise FieldError(f"tol: must be > 0, got {tol}")
 
 
 def fit_pdc_to_thermal(problem: FitProblem, max_iters: int = 500, tol: float = 1e-8) -> FitResult:
@@ -110,52 +116,36 @@ def fit_pdc_to_thermal(problem: FitProblem, max_iters: int = 500, tol: float = 1
     exceeds the objective at the initial point. A non-finite objective raises
     FitDivergedError carrying the offending parameters.
     """
-    if int(max_iters) != max_iters or max_iters < 1:
-        raise ValidationError(f"fit_pdc_to_thermal: max_iters must be >= 1, got {max_iters}")
-    if not tol > 0:
-        raise ValidationError(f"fit_pdc_to_thermal: tol must be > 0, got {tol}")
-
-    names = _ordered_free(problem.free_params)
-    lo = np.array([problem.bounds[name][0] for name in names])
-    hi = np.array([problem.bounds[name][1] for name in names])
+    _check_settings(max_iters, tol)
+    names = [name for name in PARAM_ORDER if name in problem.free_params]
+    lo, hi = np.array([problem.bounds[name] for name in names]).T
     span = hi - lo
-    dim = len(names)
 
     def to_params(u: np.ndarray) -> PdcParams:
-        values = {
-            name: float(v) for name, v in zip(names, lo + np.clip(u, 0.0, 1.0) * span)
-        }
-        return dataclasses.replace(problem.initial, **values)
+        values = lo + np.clip(u, 0.0, 1.0) * span
+        return dataclasses.replace(problem.initial, **dict(zip(names, values.tolist())))
 
     def evaluate(u: np.ndarray) -> float:
         candidate = to_params(u)
         value = fit_objective(candidate, problem)
         if not np.isfinite(value):
-            raise FitDivergedError(
-                f"fit objective is non-finite at {candidate}", params=candidate
-            )
+            raise FitDivergedError(f"fit objective is non-finite at {candidate}", params=candidate)
         return value
 
     u0 = (np.array([getattr(problem.initial, name) for name in names]) - lo) / span
-    simplex = [u0]
-    for k in range(dim):
-        step = _INITIAL_STEP if u0[k] + _INITIAL_STEP <= 1.0 else -_INITIAL_STEP
-        vertex = u0.copy()
-        vertex[k] += step
-        simplex.append(vertex)
-    simplex = [np.clip(v, 0.0, 1.0) for v in simplex]
-    values = [evaluate(v) for v in simplex]
-
-    def order():
-        ranked = sorted(zip(values, (tuple(v) for v in simplex), simplex), key=lambda t: t[:2])
-        return [t[2] for t in ranked], [t[0] for t in ranked]
-
-    simplex, values = order()
-    trace = [values[0]]
+    steps = np.where(u0 + _INITIAL_STEP <= 1.0, _INITIAL_STEP, -_INITIAL_STEP)
+    simplex = np.clip(np.vstack([u0, u0 + np.diag(steps)]), 0.0, 1.0)
+    values = np.array([evaluate(v) for v in simplex])
+    trace = []
     iterations = 0
-    converged = _diameter(simplex) < tol
-
-    while not converged and iterations < max_iters:
+    while True:
+        # Best first; ties in value go to the lexicographically smaller vertex.
+        rank = np.lexsort((*simplex.T[::-1], values))
+        simplex, values = simplex[rank], values[rank]
+        trace.append(float(values[0]))
+        converged = bool(np.max(np.linalg.norm(simplex[:, None] - simplex, axis=-1)) < tol)
+        if converged or iterations == max_iters:
+            break
         iterations += 1
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
@@ -165,10 +155,10 @@ def fit_pdc_to_thermal(problem: FitProblem, max_iters: int = 500, tol: float = 1
         if f_reflected < values[0]:
             expanded = np.clip(centroid + _EXPAND * (centroid - worst), 0.0, 1.0)
             f_expanded = evaluate(expanded)
-            if (f_expanded, tuple(expanded)) < (f_reflected, tuple(reflected)):
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
+            # The better of the two; on a tie in value, the lexicographically smaller.
+            values[-1], simplex[-1] = min(
+                (f_reflected, tuple(reflected)), (f_expanded, tuple(expanded))
+            )
         elif f_reflected < values[-2]:
             simplex[-1], values[-1] = reflected, f_reflected
         else:
@@ -180,26 +170,13 @@ def fit_pdc_to_thermal(problem: FitProblem, max_iters: int = 500, tol: float = 1
             if f_contracted < min(f_reflected, values[-1]):
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
-                best = simplex[0]
-                simplex = [best] + [
-                    np.clip(best + _SHRINK * (v - best), 0.0, 1.0) for v in simplex[1:]
-                ]
-                values = [values[0]] + [evaluate(v) for v in simplex[1:]]
-
-        simplex, values = order()
-        trace.append(values[0])
-        converged = _diameter(simplex) < tol
+                simplex[1:] = np.clip(simplex[0] + _SHRINK * (simplex[1:] - simplex[0]), 0.0, 1.0)
+                values[1:] = [evaluate(v) for v in simplex[1:]]
 
     return FitResult(
         params=to_params(simplex[0]),
-        objective_value=values[0],
+        objective_value=trace[-1],
         iterations=iterations,
         converged=converged,
         trace=tuple(trace),
-    )
-
-
-def _diameter(simplex) -> float:
-    return max(
-        float(np.linalg.norm(a - b)) for i, a in enumerate(simplex) for b in simplex[i + 1 :]
     )

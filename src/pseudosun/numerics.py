@@ -18,7 +18,7 @@ unconditional dynamics alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, ldexp
+from math import frexp, inf, ldexp
 
 import numpy as np
 
@@ -67,8 +67,12 @@ class _UniformGrid:
         # Below 2**60 points the float64 array takes under 2**63 bytes, which numpy can address.
         # The range test comes first, so int() never sees an inf or nan count.
         if not 2 <= self.count < 2**60 or int(self.count) != self.count:
+            # A finite count past the limit is quoted in short form, such as 4.07e+302, by decimal,
+            # which rounds an int of any size; importing it with the module costs every run 0.4 MB.
+            from decimal import Decimal
+            shown = f"{Decimal(int(self.count)):.3g}" if 2**60 <= self.count < inf else self.count
             raise ValidationError(
-                f"{kind}: count must be an integer >= 2 and below 2**60, got {self.count}"
+                f"{kind}: count must be an integer >= 2 and below 2**60, got {shown}"
             )
 
     @property

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,11 @@ def format_value(x) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def write_text(path: Path, text: str) -> None:
-    """Write text to path atomically, creating its directory if needed."""
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write text, or its strings in turn, to path atomically, creating its directory if needed.
+
+    Any exception, from the strings' iterator too, removes the temp file and keeps the target.
+    """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     try:
@@ -51,26 +55,36 @@ def write_text(path: Path, text: str) -> None:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines([text] if isinstance(text, str) else text)
             os.replace(temp, path)
-        except OSError:
+        except BaseException:
             os.unlink(temp)
             raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}")
 
 
+# Blocks of 1,024 or 4,096 values formatted no faster and grew the peak RSS of a long run more.
+_BLOCK_VALUES = 256
+
+
 def write_csv(path: Path, header_lines: list[str], columns: list[str], rows: np.ndarray) -> None:
     """Write a CSV with metadata comments, a header row, and numeric rows.
 
-    One %-format pass per row. Rows become Python floats one at a time, so
-    the table is never held as Python objects all at once.
+    Whole rows, about _BLOCK_VALUES values at a time, are formatted by one %-call and written
+    before the next are made, so no text or Python float of the whole table is held at once.
     """
     data = np.atleast_2d(np.asarray(rows))
-    row_format = ",".join([FLOAT_FORMAT] * data.shape[1])
-    lines = [*header_lines, ",".join(columns)]
-    lines.extend(row_format % tuple(row.tolist()) for row in data)
-    write_text(path, "\n".join(lines) + "\n")
+    row_format = ",".join([FLOAT_FORMAT] * data.shape[1]) + "\n"
+    step = max(1, _BLOCK_VALUES // data.shape[1])
+
+    def chunks():
+        yield "\n".join([*header_lines, ",".join(columns)]) + "\n"
+        for start in range(0, len(data), step):
+            block = data[start : start + step]
+            yield (row_format * len(block)) % tuple(block.ravel().tolist())
+
+    write_text(path, chunks())
 
 
 def script_name(csv_name: str) -> str:

@@ -11,10 +11,14 @@ are kept here as a plain loop, one addition per step, as the reference the
 package's blocked sums must match bit for bit. The herald phase exp(i w_n s)
 is evaluated in extended precision, and the heralded rank-one builder is
 kept in its allocate-per-field form, as the reference the package's builder
-must match bit for bit.
+must match bit for bit. The fit's simplex search is kept with its vertices
+as a list of arrays, sorted as tuples, as the reference the package's
+one-array simplex must match result for result.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from scipy.signal import czt, fftconvolve
@@ -28,6 +32,17 @@ from pseudosun import (
     squeeze_profile,
 )
 from pseudosun.dynamics import _hermitian, _level_phasors
+from pseudosun.fitting import (
+    _CONTRACT,
+    _EXPAND,
+    _INITIAL_STEP,
+    _REFLECT,
+    _SHRINK,
+    FitProblem,
+    FitResult,
+    PARAM_ORDER,
+    fit_objective,
+)
 from pseudosun.numerics import C_CM_PER_FS, angular_frequency, trapezoid_weights
 
 
@@ -232,3 +247,86 @@ def relative_frobenius(got: np.ndarray, want: np.ndarray) -> float:
             continue
         worst = max(worst, diff / norm)
     return worst
+
+
+def fit_by_vertex_list(problem: FitProblem, max_iters: int, tol: float) -> FitResult:
+    """The projected simplex search with its vertices as a list of arrays.
+
+    Each step sorts (value, vertex tuple, vertex) triples and takes the
+    diameter as the largest norm over the vertex pairs, one pair at a time.
+    """
+    names = [name for name in PARAM_ORDER if name in problem.free_params]
+    lo = np.array([problem.bounds[name][0] for name in names])
+    hi = np.array([problem.bounds[name][1] for name in names])
+    span = hi - lo
+
+    def to_params(u):
+        values = {name: float(v) for name, v in zip(names, lo + np.clip(u, 0.0, 1.0) * span)}
+        return dataclasses.replace(problem.initial, **values)
+
+    def evaluate(u):
+        value = fit_objective(to_params(u), problem)
+        assert np.isfinite(value)
+        return value
+
+    def order():
+        ranked = sorted(zip(values, (tuple(v) for v in simplex), simplex), key=lambda t: t[:2])
+        return [t[2] for t in ranked], [t[0] for t in ranked]
+
+    def diameter():
+        return max(
+            float(np.linalg.norm(a - b)) for i, a in enumerate(simplex) for b in simplex[i + 1 :]
+        )
+
+    u0 = (np.array([getattr(problem.initial, name) for name in names]) - lo) / span
+    simplex = [u0]
+    for k in range(len(names)):
+        step = _INITIAL_STEP if u0[k] + _INITIAL_STEP <= 1.0 else -_INITIAL_STEP
+        vertex = u0.copy()
+        vertex[k] += step
+        simplex.append(vertex)
+    simplex = [np.clip(v, 0.0, 1.0) for v in simplex]
+    values = [evaluate(v) for v in simplex]
+    simplex, values = order()
+    trace = [values[0]]
+    iterations = 0
+    converged = diameter() < tol
+    while not converged and iterations < max_iters:
+        iterations += 1
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = np.clip(centroid + _REFLECT * (centroid - worst), 0.0, 1.0)
+        f_reflected = evaluate(reflected)
+        if f_reflected < values[0]:
+            expanded = np.clip(centroid + _EXPAND * (centroid - worst), 0.0, 1.0)
+            f_expanded = evaluate(expanded)
+            if (f_expanded, tuple(expanded)) < (f_reflected, tuple(reflected)):
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = np.clip(centroid + _CONTRACT * (reflected - centroid), 0.0, 1.0)
+            else:
+                contracted = np.clip(centroid - _CONTRACT * (centroid - worst), 0.0, 1.0)
+            f_contracted = evaluate(contracted)
+            if f_contracted < min(f_reflected, values[-1]):
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                best = simplex[0]
+                simplex = [best] + [
+                    np.clip(best + _SHRINK * (v - best), 0.0, 1.0) for v in simplex[1:]
+                ]
+                values = [values[0]] + [evaluate(v) for v in simplex[1:]]
+        simplex, values = order()
+        trace.append(values[0])
+        converged = diameter() < tol
+    return FitResult(
+        params=to_params(simplex[0]),
+        objective_value=values[0],
+        iterations=iterations,
+        converged=converged,
+        trace=tuple(trace),
+    )

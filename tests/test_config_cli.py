@@ -13,7 +13,7 @@ import pseudosun as ps
 from pseudosun import cli
 from pseudosun.cli import main
 from pseudosun import config as config_module
-from pseudosun.config import COMMANDS, example_config, parse_heralded
+from pseudosun.config import COMMANDS, command_block, example_config, load_config, parse_heralded
 
 SMALL_PDC = {
     "pump_freq": 25000.0,
@@ -300,7 +300,34 @@ class TestBoundaryRejection:
             (
                 "fit",
                 dict(SMALL_FIT, bounds={"entanglement_time": [8.0, 0.5], "gain": [0.01, 0.5]}),
-                "fit: FitProblem: bounds for 'entanglement_time'",
+                "fit.bounds.entanglement_time: must satisfy lo < hi, got [8.0, 0.5]",
+            ),
+            (
+                "fit",
+                dict(SMALL_FIT, bounds=dict(SMALL_FIT["bounds"], chirp=[0.0, 1.0])),
+                "fit.bounds.chirp: unknown parameter",
+            ),
+            (
+                "fit",
+                dict(SMALL_FIT, bounds={"gain": [0.01, 0.5]}),
+                "fit.bounds.entanglement_time: missing",
+            ),
+            (
+                "fit",
+                dict(SMALL_FIT, bounds=dict(SMALL_FIT["bounds"], gain=[0.01])),
+                "fit.bounds.gain: expected 2 entries, got 1",
+            ),
+            (
+                "fit",
+                dict(SMALL_FIT, free_params=["gain", "entanglement_time", "gain"]),
+                "fit.free_params: duplicate entries in ['gain', 'entanglement_time', 'gain']",
+            ),
+            ("fit", dict(SMALL_FIT, free_params=[]), "fit.free_params: must name at least one"),
+            (
+                "fit",
+                dict(SMALL_FIT, bounds=dict(SMALL_FIT["bounds"], signal_center=[9000.0, 25000.0]),
+                     free_params=["signal_center"]),
+                "fit.bounds: admit invalid parameters",
             ),
             (
                 "fit",
@@ -334,13 +361,19 @@ class TestBoundaryRejection:
             "zero-max-iters",
             "zero-tol",
             "reversed-bounds",
+            "unknown-bound",
+            "missing-bound",
+            "short-bound",
+            "duplicate-free-param",
+            "empty-free-params",
+            "bounds-admit-invalid-params",
             "unknown-free-param",
             "initial-outside-bounds",
             "no-default-field-grid",
         ],
     )
     def test_rejection_names_path(self, command, block, message):
-        with pytest.raises(ps.ValidationError, match=re.escape(message)):
+        with pytest.raises(ps.ValidationError, match="^" + re.escape(message)):
             getattr(config_module, f"parse_{command}")(block)
 
     @pytest.mark.parametrize("command", ["dynamics", "heralded", "coincidence"])
@@ -516,6 +549,8 @@ class TestBoundaryRejection:
             f"error: {command}.{key}: a herald {span} fs from the far end of the window leaves "
             "no default field grid (FrequencyGrid: count must be"
         )
+        # A count of 2**60 or more is quoted in short form, not in its 300 digits.
+        assert len(err) < 300
         assert err.endswith("); set field_grid\n")
         assert err.count("\n") == 1
         assert not out.exists()
@@ -550,6 +585,69 @@ class TestBoundaryRejection:
             )
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, change, key",
+        [
+            ("heralded", {"herald_times": [1e300]}, "herald_times[0]"),
+            ("heralded", {"herald_times": [-10.0]}, "herald_times[0]"),
+            ("heralded", {"herald_times": [103.0]}, "herald_times[0]"),
+            ("heralded", {"herald_times": [50.0, 103.0]}, "herald_times[1]"),
+            # 5 fs steps: the 2.5 fs pulse at 52.5 fs falls between 50 and 55 fs.
+            (
+                "heralded",
+                {"herald_times": [52.5], "times": {"min": 0.0, "max": 100.0, "count": 21}},
+                "herald_times[0]",
+            ),
+            # The box edge falls just past the last time, 100 fs.
+            ("heralded", {"herald_times": [101.25000001]}, "herald_times[0]"),
+            ("coincidence", {"herald_time": 1e300}, "herald_time"),
+        ],
+        ids=[
+            "far",
+            "before",
+            "after",
+            "second-after",
+            "coarse-step",
+            "edge-missed",
+            "coincidence-far",
+        ],
+    )
+    def test_rect_pulse_out_of_reach_is_bad_input(
+        self, tmp_path, capsys, monkeypatch, command, change, key
+    ):
+        # The rect field was 0 at every time, and the run exited 3 when it
+        # normalized the trajectory or the coincidence signal.
+        block = command_block(load_config(example_config("fig3a")), "heralded")
+        if command == "coincidence":
+            del block["herald_times"], block["normalization"], block["output_prefix"]
+        block.update(change)
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the config was checked")
+
+        monkeypatch.setattr("pseudosun.cli.heralded_field", no_compute)
+        config = write_config(tmp_path / "rect.json", {command: block})
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}.{key}: the 2.5 fs rect_approx pulse heralded at ")
+        assert err.endswith("so the molecule sees no light\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("herald_time", [101.25, -1.25])
+    def test_rect_pulse_edge_on_a_time_is_accepted(self, tmp_path, herald_time):
+        # The box is one half at exactly entanglement_time / 2 from its herald,
+        # so a pulse whose edge falls on the last or first time lights that time.
+        block = command_block(load_config(example_config("fig3a")), "heralded")
+        block["herald_times"] = [herald_time]
+        config = write_config(tmp_path / "edge.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 0
+        name = parse_heralded(block).herald_output(herald_time)
+        _, _, rows = read_csv(out / name)
+        assert np.max(rows[:, 1]) == 1.0
 
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
         block = dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0})
@@ -876,16 +974,6 @@ class TestCoincidenceCommand:
         _, _, rows = read_csv(out / "coincidence.csv")
         assert rows[:, 1].tobytes() == signal.tobytes()
         assert np.max(np.abs(rows[:, 1])) == 1.0
-
-    def test_zero_signal_is_numerical_failure(self, tmp_path, capsys):
-        # The rect pulse at 1000 fs never reaches the 0-20 fs window.
-        block = dict(SMALL_HERALDED, herald_time=1000.0)
-        del block["herald_times"]
-        config = write_config(tmp_path / "coin.json", {"coincidence": block})
-        out = tmp_path / "run"
-        assert main(["coincidence", "--config", config, "--out", str(out)]) == 3
-        assert "zero or non-finite" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_shipped_configs_all_parse(self):
         from pseudosun.config import (

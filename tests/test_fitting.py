@@ -8,6 +8,7 @@ from pseudosun import fitting
 
 from conftest import REF_PDC, SOLAR
 from locks import FIG1_OBJECTIVE_BASELINE
+from oracles import fit_by_vertex_list
 
 WINDOW = ps.FrequencyGrid(14000.0, 22000.0, 401)
 LOCK_WINDOW = ps.FrequencyGrid(15000.0, 20000.0, 501)
@@ -181,3 +182,81 @@ class TestOptimizerContract:
             ps.fit_pdc_to_thermal(problem, max_iters=0)
         with pytest.raises(ps.ValidationError):
             ps.fit_pdc_to_thermal(problem, tol=0.0)
+
+
+BROAD_WINDOW = ps.FrequencyGrid(14000.0, 25000.0, 401)
+ALL_BOUNDS = {
+    "pump_freq": (24000.0, 26000.0),
+    "signal_center": (10000.0, 14000.0),
+    "entanglement_time": (1.5, 4.0),
+    "gain": (0.05, 0.3),
+}
+
+
+class TestAgainstVertexList:
+    """The one-array simplex returns the vertex-list search's FitResult, field for field."""
+
+    @pytest.mark.parametrize(
+        "free, start, bounds, max_iters, tol",
+        [
+            (("gain",), {"gain": 0.08}, {"gain": (0.01, 0.5)}, 300, 1e-10),
+            # The start is the upper bound, so the first step goes down.
+            (("gain",), {"gain": 0.5}, {"gain": (0.01, 0.5)}, 300, 1e-10),
+            (
+                ("entanglement_time", "gain"),
+                {"entanglement_time": 2.0, "gain": 0.10},
+                {"entanglement_time": (0.5, 8.0), "gain": (0.01, 0.5)},
+                500,
+                1e-10,
+            ),
+            (tuple(fitting.PARAM_ORDER), {}, ALL_BOUNDS, 500, 1e-8),
+        ],
+        ids=["one", "start-at-bound", "two", "four"],
+    )
+    def test_converged_fits(self, free, start, bounds, max_iters, tol):
+        window = BROAD_WINDOW if len(free) == 4 else WINDOW
+        problem = ps.FitProblem(
+            window=window,
+            target=ps.thermal_mean(window, SOLAR),
+            free_params=free,
+            initial=dataclasses.replace(REF_PDC, **start),
+            bounds=bounds,
+        )
+        result = ps.fit_pdc_to_thermal(problem, max_iters, tol)
+        assert result.converged
+        assert result == fit_by_vertex_list(problem, max_iters, tol)
+
+    def test_projected_and_shrunk(self, monkeypatch):
+        # The optimum (2.5 fs, 0.15) lies outside the box, beyond the corner the
+        # search starts from: candidates are clipped onto the box's faces, and
+        # contractions fail, so the simplex shrinks.
+        problem = synthetic_problem(
+            ("entanglement_time", "gain"),
+            {"entanglement_time": 3.0, "gain": 0.2},
+            {"entanglement_time": (3.0, 8.0), "gain": (0.2, 0.5)},
+        )
+        seen = []
+        original = fitting.fit_objective
+
+        def spy(params, problem):
+            seen.append(params)
+            return original(params, problem)
+
+        monkeypatch.setattr(fitting, "fit_objective", spy)
+        result = ps.fit_pdc_to_thermal(problem, 500, 1e-10)
+        # Without a shrink a step evaluates at most two candidates.
+        assert len(seen) > 3 + 2 * result.iterations
+        assert sum(p.gain == 0.2 for p in seen[3:]) > 0
+        assert result == fit_by_vertex_list(problem, 500, 1e-10)
+
+    def test_out_of_iterations(self):
+        problem = ps.FitProblem(
+            window=WINDOW,
+            target=ps.thermal_mean(WINDOW, SOLAR),
+            free_params=("entanglement_time", "gain"),
+            initial=REF_PDC,
+            bounds={"entanglement_time": (0.5, 8.0), "gain": (0.01, 0.5)},
+        )
+        result = ps.fit_pdc_to_thermal(problem, 7, 1e-12)
+        assert not result.converged and result.iterations == 7
+        assert result == fit_by_vertex_list(problem, 7, 1e-12)
