@@ -247,13 +247,33 @@ def _check_rect_heralds(
     method: FieldMethod, pdc: PdcParams, times: TimeGrid, heralds: dict[str, float]
 ) -> None:
     """Each herald's rect_approx pulse, nonzero within entanglement_time / 2, must reach a time."""
+    if method is not FieldMethod.RECT_APPROX:
+        return
     half = 0.5 * pdc.entanglement_time
     for key, herald in heralds.items():
-        if method is FieldMethod.RECT_APPROX and not (abs(times.points - herald) <= half).any():
+        if not _reaches_a_time(times, herald, half):
             raise FieldError(
                 f"{key}: the {pdc.entanglement_time} fs rect_approx pulse heralded at {herald} fs "
                 f"reaches no time of times (all over {half} fs away), so the molecule sees no light"
             )
+
+
+def _reaches_a_time(times: TimeGrid, herald: float, half: float) -> bool:
+    """(abs(times.points - herald) <= half).any(), decided from at most three points.
+
+    The points before the last rise with their index, so their distance to the herald is least
+    at the last one not past it, found by bisection, or at the one after; the last point, max,
+    is tried on its own.
+    """
+    lo, hi = -1, times.count - 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if times.point(mid) <= herald:
+            lo = mid
+        else:
+            hi = mid - 1
+    nearest = {max(lo, 0), min(lo + 1, times.count - 2), times.count - 1}
+    return any(abs(times.point(k) - herald) <= half for k in nearest)
 
 
 def _check_outputs(config, keys: tuple[str, ...], tables: list, texts=()) -> None:

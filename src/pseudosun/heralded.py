@@ -67,7 +67,7 @@ from .dynamics import (
     _hermitian,
     _level_phasors,
 )
-from .pdc import PdcParams, squeeze_profile, vacuum_amplitude
+from .pdc import PdcParams
 
 #: Default integration window for the exact field: this many sinc lobes on
 #: each side of the signal center (clipped at zero frequency), with at
@@ -210,14 +210,28 @@ def _rect_field(delay: np.ndarray, params: PdcParams) -> np.ndarray:
 
 
 def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
-    """Quadrature weights times the amplitude-weighted tanh of the squeeze profile."""
+    """Quadrature weights times the amplitude-weighted tanh of the squeeze profile.
+
+    That is weights * vacuum_amplitude(nu, signal_center) * tanh(squeeze_profile(nu, params)),
+    computed in place in the same order of operations, so it is bit-identical to that expression
+    with at most three float arrays of N alive.
+    """
     nu = grid.points
+    phase = np.subtract(nu, params.signal_center)
+    phase *= np.pi * C_CM_PER_FS
+    phase *= params.entanglement_time
+    squeeze = np.sin(phase)
+    np.divide(squeeze, phase, out=squeeze, where=phase != 0)
+    squeeze[phase == 0] = 1.0
+    del phase
+    squeeze *= params.gain
+    np.tanh(squeeze, out=squeeze)
+    np.divide(nu, params.signal_center, out=nu)
+    np.sqrt(nu, out=nu)
     weights = trapezoid_weights(grid.count, grid.spacing)
-    return (
-        weights
-        * vacuum_amplitude(nu, params.signal_center)
-        * np.tanh(squeeze_profile(nu, params))
-    )
+    weights *= nu
+    weights *= squeeze
+    return weights
 
 
 def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajectory:

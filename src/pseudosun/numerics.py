@@ -83,6 +83,15 @@ class _UniformGrid:
     def points(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
 
+    def point(self, k: int) -> float:
+        """points[k] without the array, computed as np.linspace computes it: max for the last."""
+        if k == self.count - 1:
+            return self.max
+        if self.spacing == 0:
+            # np.linspace's path for a spacing that underflows to 0.
+            return float(k) / float(self.count - 1) * (self.max - self.min) + self.min
+        return float(k) * self.spacing + self.min
+
 
 @dataclass(frozen=True)
 class FrequencyGrid(_UniformGrid):

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import os
 import re
+import tracemalloc
 import typing
 import warnings
 from pathlib import Path
@@ -648,6 +650,51 @@ class TestBoundaryRejection:
         name = parse_heralded(block).herald_output(herald_time)
         _, _, rows = read_csv(out / name)
         assert np.max(rows[:, 1]) == 1.0
+
+    def test_rect_rule_holds_no_time_array(self):
+        # The rule evaluated times.points, 8 TB of floats here, once per herald.
+        block = command_block(load_config(example_config("fig3a")), "heralded")
+        block["times"] = dict(block["times"], count=10**12)
+        tracemalloc.start()
+        try:
+            parse_heralded(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            {"min": 0.0, "max": 100.0, "count": 2001},
+            {"min": 3.0, "max": 103.0, "count": 2001},
+            {"min": 0.1, "max": 0.7, "count": 7},
+            {"min": 0.0, "max": 1e6 + 0.3, "count": 2},
+        ],
+    )
+    def test_rect_rule_at_the_grid_ends_decides_as_the_time_array(self, times):
+        # Heralds entanglement_time / 2 outside either end, an ulp either side of
+        # that, and one just inside: each accepted or rejected as the distance to
+        # every point of times.points decides it.
+        block = command_block(load_config(example_config("fig3a")), "heralded")
+        block["times"] = times
+        points = ps.TimeGrid(**times).points
+        half = 0.5 * block["pdc"]["entanglement_time"]
+        heralds = []
+        for edge in (points[0] - half, points[-1] + half):
+            heralds += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        heralds += [points[0] - 0.5 * half, points[-1] + 0.5 * half]
+        decisions = []
+        for herald in heralds:
+            block["herald_times"] = [herald]
+            reached = bool((np.abs(points - herald) <= half).any())
+            decisions.append(reached)
+            if reached:
+                parse_heralded(block)
+            else:
+                with pytest.raises(ps.ValidationError, match=r"^heralded\.herald_times\[0\]: "):
+                    parse_heralded(block)
+        assert True in decisions and False in decisions
 
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
         block = dict(SMALL_HERALDED, average={"samples": 4, "pad": 1.0})

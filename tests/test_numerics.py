@@ -23,6 +23,19 @@ class TestGrids:
             with pytest.raises(ValidationError, match="below 2\\*\\*60"):
                 FrequencyGrid(0.0, 1.0, count)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            TimeGrid(3.0, 103.0, 2001),
+            TimeGrid(-5.0, 0.7, 7),
+            FrequencyGrid(1000.0, 25000.0, 8192),
+            # The spacing underflows to 0, np.linspace's other path.
+            TimeGrid(0.0, 5e-324, 3),
+        ],
+    )
+    def test_point_is_the_linspace_point(self, grid):
+        assert [grid.point(k) for k in range(grid.count)] == grid.points.tolist()
+
     def test_time_grid_allows_negative_times(self):
         grid = TimeGrid(-5.0, 5.0, 3)
         assert grid.points[0] == -5.0
