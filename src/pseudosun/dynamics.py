@@ -18,19 +18,26 @@ t_k = t0 + k*dt the kernel obeys, exactly,
 
 so every pair's sum comes from the lag sums of the one-step kernel
 
-    G_ab(m) = sum_n weight_n * conj(J_a,n(dt)) * J_b,n(dt) * exp(i*w_n*m*dt),
+    G_ab(m) = sum_n weight_n * conj(J_a,n(dt)) * J_b,n(dt) * exp(i*w_n*m*dt).
 
-one chirp-z transform per ordered level pair (numerics._ChirpZ, the
-synthesizer of the heralded field too) for all lags |m| < T at once. From
-t0 = 0 the sum at t_k is the running sum over j < k of the steps
+With the real s = sinc(theta*dt/2), conj(J_a(dt)) * J_b(dt) is
+dt^2 * exp(i*(eps_a - eps_b)*dt/2) * s_a * s_b, so the coefficients are real
+up to a phase that does not depend on n: one chirp-z transform of
+dt^2 * weight * s_a * s_b per unordered level pair a <= b (numerics._ChirpZ,
+the synthesizer of the heralded field too) gives G_ab(-m) for all lags
+0 <= m < T at once, and G_ab(m) is the same with the transform's conjugate.
+That is L(L + 1)/2 transforms, and the one-step kernel needs no complex
+exponential. From t0 = 0 the sum at t_k is the running sum over j < k of
+the steps
 
     exp(i(eps_a - eps_b) j dt) [G_ab(0) + sum_{m=1..j} exp(i eps_b m dt) G_ab(-m)
                                         + sum_{m=1..j} exp(-i eps_a m dt) G_ab(m)],
 
 themselves running sums over the lags. A grid that starts at t0 > 0 adds
-the sums at t0, the cross terms between J(t0) and the steps (one more
-transform per ordered pair, and one more running sum), and the constant
-phase exp(i(eps_a - eps_b) t0) on the double sum. Nothing divides by
+the sums at t0, the cross terms between J(t0) and the steps (one transform
+of complex coefficients per ordered pair, L^2 more, and one more running
+sum), and the constant phase exp(i(eps_a - eps_b) t0) on the double sum.
+Nothing divides by
 theta, so the bins near a level and those far from all go through the same
 sums: O(L^2 (N + T) log(N + T)) work and a few (L^2, T) arrays of memory.
 Each running sum is taken in blocks of ceil(sqrt(T)) steps whose totals are
@@ -214,13 +221,13 @@ def evolve_unconditional(
     The frequency sums sum_n w_n conj(K_a,n) K_b,n of the window kernel come
     from the lag sums of the one-step kernel, summed over the steps (see the
     module docstring), for every bin alike. Against a trajectory built from
-    the direct sinc form at every time they differ by at most 1.2e-15
-    (source) and 1.7e-15 (5777 K black body) in relative Frobenius norm per
-    time on the fig2 grids, by at most 1.3e-15 and 1.7e-15 on them from
-    37.3 fs, and by at most 2.0e-15 and 1.7e-15 with five levels and 8,001
-    times over 400 fs. The t = 0 matrix is exactly zero. Each matrix is
-    exactly Hermitian: the lower triangle is the conjugate of the upper one,
-    and the diagonal is real.
+    the direct sinc form at every time they differ by at most 1.1e-15
+    (source) and 1.4e-15 (5777 K black body) in relative Frobenius norm per
+    time on the fig2 grids, by as much on them from 37.3 fs, and by at most
+    1.8e-15 and 2.3e-15 with five levels and 8,001 times over 400 fs. The
+    t = 0 matrix is exactly zero. Each matrix is exactly Hermitian: the
+    lower triangle is the conjugate of the upper one, and the diagonal is
+    real.
     """
     _check_switch_on(times, "evolve_unconditional")
     weight = _amplitude_weight(spectrum, amplitude_ref)
@@ -232,20 +239,26 @@ def evolve_unconditional(
     a, b = np.triu_indices(mol.size)
     splitting = level_ang[a] - level_ang[b]
 
-    # backward[a, b, m] = G_ab(-m), and G_ab(m) = conj(G_ba(-m))
-    step = _window_kernel(theta, times.spacing)
-    backward = _lag_sums(synthesize, weight * step.conj(), step)
-    # terms[p, m] = exp(i eps_b m dt) G_ab(-m) + exp(-i eps_a m dt) G_ab(m), and G_ab(0) at m = 0
-    terms = rotation[b] * backward[a, b] + (rotation[a] * backward[b, a]).conj()
-    terms[:, 0] = backward[a, b, 0]
-    del backward
-    increments = np.exp(1j * np.outer(splitting, lags)) * _running_sum(terms)
+    # conj(K_a(dt)) K_b(dt) = dt^2 exp(i (eps_a - eps_b) dt / 2) s_a s_b with the real
+    # s = sinc(theta dt / 2), so with the lag sums R_ab(m) = dt^2 sum_n w_n s_a,n s_b,n
+    # exp(-i w_n m dt) of one pair a <= b, G_ab(-m) = exp(i (eps_a - eps_b) dt / 2) R_ab(m),
+    # and G_ab(m) is the same with conj(R_ab(m))
+    step = sinc(0.5 * times.spacing * theta)
+    lagged = _lag_sums(synthesize, times.spacing**2 * weight * step, step, a, b)
+    # terms[p, m] = exp(i eps_b m dt) R_ab(m) + exp(-i eps_a m dt) conj(R_ab(m)); R_ab(0) at m = 0
+    terms = rotation[b] * lagged + (rotation[a] * lagged).conj()
+    terms[:, 0] = lagged[:, 0].real
+    del lagged
+    increments = np.exp(1j * np.outer(splitting, lags + 0.5 * times.spacing))
+    increments *= _running_sum(terms)
     at_start = 0.0
     if times.min > 0:
         # cross[a, b, j] = conj of the lag sum at j of w conj(K_a(t0)) exp(i theta_b t0) K_b(dt)
         first = _window_kernel(theta, times.min)
-        shifted = step * np.exp(1j * theta * times.min)
-        cross = _lag_sums(synthesize, weight * first, shifted.conj())
+        shifted = _window_kernel(theta, times.spacing) * np.exp(1j * theta * times.min)
+        ordered = np.indices((mol.size, mol.size)).reshape(2, -1)
+        cross = _lag_sums(synthesize, weight * first, shifted.conj(), *ordered)
+        cross = cross.reshape(mol.size, mol.size, times.count)
         increments *= np.exp(1j * splitting * times.min)[:, None]
         increments += rotation[a] * cross[b, a] + (rotation[b] * cross[a, b]).conj()
         at_start = ((weight * first.conj()) @ first.T)[a, b, None]
@@ -260,13 +273,13 @@ def evolve_unconditional(
     return DensityTrajectory(times, _hermitian(matrices))
 
 
-def _lag_sums(synthesize: _ChirpZ, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """synthesize(left[a] * right[b]) for every ordered pair of levels, shape (L, L, T)."""
-    levels = left.shape[0]
-    sums = np.empty((levels, levels, synthesize.count), dtype=complex)
-    for a in range(levels):
-        for b in range(levels):
-            sums[a, b] = synthesize(left[a] * right[b])
+def _lag_sums(
+    synthesize: _ChirpZ, left: np.ndarray, right: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """synthesize(left[a[p]] * right[b[p]]) for every pair p of levels, shape (pairs, T)."""
+    sums = np.empty((a.size, synthesize.count), dtype=complex)
+    for pair, (first, second) in enumerate(zip(a, b)):
+        sums[pair] = synthesize(left[first] * right[second])
     return sums
 
 

@@ -23,12 +23,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FieldError, FitDivergedError, ValidationError
 from .numerics import FrequencyGrid
-from .pdc import PdcParams, PhotonSpectrum, mean_photon_number
+from .pdc import PdcParams, PhotonSpectrum, squeeze_profile
 
 LOG_FLOOR = 1e-12
 
@@ -81,6 +82,21 @@ class FitProblem:
             except ValidationError as exc:
                 raise FieldError(f"bounds: admit invalid parameters ({exc})") from None
 
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The window's frequencies, computed once for every objective evaluation."""
+        return _read_only(self.window.points)
+
+    @cached_property
+    def log_target(self) -> np.ndarray:
+        """log(target + LOG_FLOOR), computed once for every objective evaluation."""
+        return _read_only(np.log(self.target.values + LOG_FLOOR))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -94,9 +110,13 @@ class FitResult:
 
 
 def fit_objective(params: PdcParams, problem: FitProblem) -> float:
-    """Mean squared log-residual between the source spectrum and the target."""
-    produced = mean_photon_number(problem.window, params).values
-    residual = np.log(produced + LOG_FLOOR) - np.log(problem.target.values + LOG_FLOOR)
+    """Mean squared log-residual between the source spectrum and the target.
+
+    The source is sinh(r)^2, as mean_photon_number computes it, on the
+    window points the problem keeps.
+    """
+    produced = np.sinh(squeeze_profile(problem.points, params)) ** 2
+    residual = np.log(produced + LOG_FLOOR) - problem.log_target
     return float(np.mean(residual**2))
 
 

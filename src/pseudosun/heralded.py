@@ -25,8 +25,18 @@ the one taken with an exponential per frequency, and the phase within a
 factor 2 of its error against an extended-precision reference. A single
 herald and a herald average take their field from one source, which picks
 the method and the frequency grid and builds the tables, the buffer and the
-transform once, so the average is exactly the mean of the single-herald
-trajectories.
+transform once.
+
+Since the profile p_n is real, conj(F(t_{T-1-k})) is the field at t_k of
+the herald reflected through the window's centre, at
+t_h' = 2 t_0 + (T - 1) dt - t_h. A uniform herald average places its
+heralds symmetrically about that centre, so one transform serves herald j
+and its mirror J-1-j: ceil(J/2) transforms for J heralds. The mirror
+herald sits at the reflected time, within 1.4e-14 fs of linspace's, and
+its field is within 6.6e-12 of its peak of the one computed there directly
+(512 heralds on 0-100 fs). The average is exactly the mean of the
+single-herald trajectories of those fields. Random herald times have no
+mirrors and take one transform each.
 
 Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
@@ -44,7 +54,7 @@ here as well.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import ceil, isfinite, isqrt
 
@@ -351,11 +361,15 @@ def average_over_heralds(
 
     Herald times cover the trajectory window padded by at least the
     entanglement time on both sides: a deterministic uniform grid by default,
-    or uniform random draws when sampling="random" (seeded). The accumulation
-    order is fixed, so results are reproducible. With many samples the
-    average converges to the unheralded trajectory. The fields go one at a
-    time through the builder evolve_heralded uses, so the average is bit for
-    bit the mean of the single-herald trajectories.
+    or uniform random draws when sampling="random" (seeded). The uniform grid
+    is symmetric about the window's centre, so herald j's field gives herald
+    J-1-j's too, as its time-reversed conjugate (see the module docstring):
+    the fields go herald 0, its mirror, herald 1, its mirror, ..., and the
+    middle herald of an odd count last. The accumulation order is fixed, so
+    results are reproducible. With many samples the average converges to the
+    unheralded trajectory. The fields go one at a time through the builder
+    evolve_heralded uses, so the average is bit for bit the mean of the
+    single-herald trajectories of those fields.
     """
     _check_switch_on(times, "average_over_heralds")
     try:
@@ -363,16 +377,38 @@ def average_over_heralds(
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
     lo, hi = times.min - pad, times.max + pad
+    field_at = _field_source(times, params, grid, method, lo, hi)
     if sampling == "random":
         rng = np.random.default_rng(seed)
-        herald_times = rng.uniform(lo, hi, int(herald_samples))
+        fields = map(field_at, rng.uniform(lo, hi, int(herald_samples)))
     elif herald_samples == 1:
-        herald_times = np.array([0.5 * (lo + hi)])
+        fields = [field_at(0.5 * (lo + hi))]
     else:
-        herald_times = np.linspace(lo, hi, int(herald_samples))
+        fields = _mirrored(field_at, np.linspace(lo, hi, int(herald_samples)))
+    return _assemble(mol, times, fields)
 
-    field_at = _field_source(times, params, grid, method, lo, hi)
-    return _assemble(mol, times, map(field_at, herald_times))
+
+def _mirrored(
+    field_at: Callable[[float], np.ndarray], herald_times: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The fields of heralds placed symmetrically about the window's centre, two per call.
+
+    Herald j yields f_j and then conj(f_j[::-1]), the field of the herald
+    reflected through the centre (see the module docstring; the rect field
+    is even in the delay up to its carrier's conjugation), in place of
+    herald J-1-j, written into one buffer kept across pairs. The middle
+    herald of an odd J is computed alone. Each field must be used before
+    the next is asked for.
+    """
+    mirror = None
+    half, odd = divmod(len(herald_times), 2)
+    for herald_time in herald_times[:half]:
+        field = field_at(herald_time)
+        yield field
+        mirror = np.conjugate(field[::-1], out=mirror)
+        yield mirror
+    if odd:
+        yield field_at(herald_times[half])
 
 
 def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> np.ndarray:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import pseudosun as ps
-from pseudosun.dynamics import _amplitude_weight, _lag_sums, _running_sum, _window_kernel
-from pseudosun.numerics import C_CM_PER_FS, angular_frequency
+from pseudosun.dynamics import _amplitude_weight, _running_sum, _window_kernel
+from pseudosun.numerics import C_CM_PER_FS, _ChirpZ, angular_frequency
 
 from conftest import (
     AMP_REF,
@@ -306,9 +306,9 @@ class TestShiftedOverlaps:
     def test_peak_memory_is_a_few_tables(self):
         """At five levels and 8,001 times the peak stays the result plus a few (L^2, T) tables.
 
-        The lag sums of every ordered pair fill one table; the steps, their
-        sums and the phases of the pairs a <= b are 0.6 table each, and a
-        later start adds the cross lag sums. The chirp-z buffers are 0.1 table.
+        The lag sums, the steps, their sums and the phases of the pairs
+        a <= b are 0.6 table each, and a later start adds the cross lag sums
+        of every ordered pair, one table. The chirp-z buffers are 0.1 table.
         """
         spectrum = ps.mean_photon_number(DYN_GRID, REF_PDC)
         for start in (0.0, 3.7):
@@ -382,19 +382,22 @@ class TestNearFarSplit:
     def test_matches_direct_kernel(self, name, monkeypatch):
         mol, spectrum, times, _ = self.CASES[name]
         calls = []
+        synthesize = _ChirpZ.__call__
 
-        def lag_sums(synthesize, left, right):
-            calls.append(left.shape)
-            return _lag_sums(synthesize, left, right)
+        def counted(self, coefficients):
+            calls.append((coefficients.shape, coefficients.dtype.kind))
+            return synthesize(self, coefficients)
 
-        monkeypatch.setattr(ps.dynamics, "_lag_sums", lag_sums)
+        monkeypatch.setattr(_ChirpZ, "__call__", counted)
         got = ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices
         want = evolve_by_direct_kernel(mol, spectrum, times, AMP_REF)
         assert relative_frobenius(got, want) <= 1e-12
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
-        # every bin goes through the one kernel: one set of lag sums, and the
-        # cross lag sums of a grid that starts after 0
-        assert calls == [(mol.size, spectrum.grid.count)] * (1 if times.min == 0.0 else 2)
+        # every bin goes through the one kernel: one transform of real coefficients
+        # per pair a <= b, and the L^2 complex cross lag sums of a grid that starts after 0
+        bins = (spectrum.grid.count,)
+        pairs = [(bins, "f")] * (mol.size * (mol.size + 1) // 2)
+        assert calls == pairs + ([] if times.min == 0.0 else [(bins, "c")] * mol.size**2)
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,28 @@ class TestObjective:
         assert value == pytest.approx(FIG1_OBJECTIVE_BASELINE, rel=1e-9)
         assert value > 0.0
 
+    @pytest.mark.parametrize("gain", [0.05, 0.15, 0.4])
+    @pytest.mark.parametrize("entanglement_time", [1.0, 2.5, 8.0])
+    def test_kept_arrays_give_the_spectrum_form_bit_for_bit(self, gain, entanglement_time):
+        # The window points and the target's logs are computed once per problem;
+        # the objective equals the one built from mean_photon_number and the
+        # target's values at every call.
+        problem = ps.FitProblem(
+            window=LOCK_WINDOW,
+            target=ps.thermal_mean(LOCK_WINDOW, SOLAR),
+            free_params=("gain",),
+            initial=REF_PDC,
+            bounds={"gain": (0.01, 0.5)},
+        )
+        params = dataclasses.replace(REF_PDC, gain=gain, entanglement_time=entanglement_time)
+        produced = ps.mean_photon_number(LOCK_WINDOW, params).values
+        target = problem.target.values
+        residual = np.log(produced + fitting.LOG_FLOOR) - np.log(target + fitting.LOG_FLOOR)
+        want = float(np.mean(residual**2))
+        assert ps.fit_objective(params, problem) == want
+        assert ps.fit_objective(params, problem) == want
+        assert not (problem.points.flags.writeable or problem.log_target.flags.writeable)
+
 
 class TestProblemValidation:
     def test_empty_free_params(self):

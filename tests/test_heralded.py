@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pseudosun as ps
 from pseudosun.heralded import _assemble, _field_profile, _field_source, _phase_tables
-from pseudosun.numerics import C_CM_PER_FS, angular_frequency
+from pseudosun.numerics import C_CM_PER_FS, _ChirpZ, angular_frequency
 
 from conftest import (
     AMP_REF,
@@ -421,16 +421,74 @@ class TestHeraldAveraging:
     @pytest.mark.parametrize("start", [0.0, 7.5], ids=["start0", "start7.5"])
     def test_average_matches_single_herald_loop(self, method, mol, start):
         # One field source and one rank-one builder serve both paths, so the
-        # average is the mean of single-herald trajectories bit for bit.
+        # average is the mean of single-herald trajectories bit for bit, taken
+        # in its order: herald j, its mirror conj(f_j[::-1]) in place of herald
+        # J-1-j, and last the middle herald of an odd J.
         times = ps.TimeGrid(start, 40.0, 801)
         pad = REF_PDC.entanglement_time
         grid = ps.default_field_grid(REF_PDC, time_span=times.max - times.min + pad)
-        averaged = ps.average_over_heralds(mol, REF_PDC, None, times, 9, method=method)
-        total = np.zeros_like(averaged.matrices)
-        for herald_time in np.linspace(times.min - pad, times.max + pad, 9):
-            field = ps.heralded_field(times, herald_time, REF_PDC, grid=grid, method=method)
-            total += ps.evolve_heralded(mol, field).matrices
-        assert np.array_equal(averaged.matrices, total / 9)
+        for samples in (8, 9):
+            averaged = ps.average_over_heralds(mol, REF_PDC, None, times, samples, method=method)
+            heralds = np.linspace(times.min - pad, times.max + pad, samples)
+            fields = []
+            for herald_time in heralds[: samples // 2]:
+                field = ps.heralded_field(times, herald_time, REF_PDC, grid=grid, method=method)
+                fields += [field, ps.HeraldedField(times, field.amplitudes[::-1].conj())]
+            if samples % 2:
+                middle = heralds[samples // 2]
+                fields.append(ps.heralded_field(times, middle, REF_PDC, grid=grid, method=method))
+            total = np.zeros_like(averaged.matrices)
+            for field in fields:
+                total += ps.evolve_heralded(mol, field).matrices
+            assert np.array_equal(averaged.matrices, total / samples), samples
+
+    # The exact field's bound is the phase tables' accuracy (measured 2.1e-12 here and
+    # 6.6e-12 over 512 heralds on 0-100 fs); the rect field's mirror differs only by the
+    # rounding of the delays (measured 2.5e-14).
+    @pytest.mark.parametrize("method, tolerance", [(EXACT, 1e-11), (RECT, 1e-13)],
+                             ids=["exact", "rect"])
+    @pytest.mark.parametrize("start", [0.0, 7.5], ids=["start0", "start7.5"])
+    @pytest.mark.parametrize("samples", [8, 9])
+    def test_mirror_is_the_field_of_the_reflected_herald(
+        self, method, tolerance, start, samples, monkeypatch
+    ):
+        # conj(F_s(t_{T-1-k})) is the field at t_k of s' = 2 t_0 + (T - 1) dt - s.
+        times = ps.TimeGrid(start, 40.0, 801)
+        pad = REF_PDC.entanglement_time
+        grid = ps.default_field_grid(REF_PDC, time_span=times.max - times.min + pad)
+        seen = []
+
+        def spy(mol, times, fields):
+            return _assemble(mol, times, (seen.append(f.copy()) or f for f in fields))
+
+        monkeypatch.setattr(ps.heralded, "_assemble", spy)
+        ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, samples, method=method)
+        assert len(seen) == samples
+        heralds = np.linspace(times.min - pad, times.max + pad, samples)
+        for j, herald_time in enumerate(heralds[: samples // 2]):
+            reflected = 2 * times.min + (times.count - 1) * times.spacing - herald_time
+            assert abs(reflected - heralds[samples - 1 - j]) < 1e-13
+            want = ps.heralded_field(times, reflected, REF_PDC, grid=grid, method=method)
+            peak = np.max(np.abs(want.amplitudes))
+            assert np.max(np.abs(seen[2 * j + 1] - want.amplitudes)) <= tolerance * peak
+
+    @pytest.mark.parametrize("sampling, samples, transforms",
+                             [("uniform", 1, 1), ("uniform", 8, 4), ("uniform", 9, 5),
+                              ("random", 8, 8), ("random", 9, 9)])
+    def test_one_transform_per_mirrored_pair(self, sampling, samples, transforms, monkeypatch):
+        calls = []
+        synthesize = _ChirpZ.__call__
+
+        def counted(self, coefficients):
+            calls.append(coefficients.shape)
+            return synthesize(self, coefficients)
+
+        monkeypatch.setattr(_ChirpZ, "__call__", counted)
+        times = ps.TimeGrid(0.0, 20.0, 201)
+        ps.average_over_heralds(
+            TWO_LEVEL, REF_PDC, None, times, samples, sampling=sampling, seed=3
+        )
+        assert len(calls) == transforms
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's allocator")
     def test_average_page_faults_bounded(self):
