@@ -409,7 +409,7 @@ class HeraldedConfig(_TrajectoryConfig):
         heralds = [("herald_times", min(self.herald_times), max(self.herald_times))]
         if self.average is not None:
             try:
-                pad = herald_pad(self.pdc, **vars(self.average))
+                pad = herald_pad(self.pdc, self.times, **vars(self.average))
             except ValidationError as exc:
                 raise FieldError(f"average: {exc}") from None
             heralds.append(("average", self.times.min - pad, self.times.max + pad))

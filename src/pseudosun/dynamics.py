@@ -33,15 +33,16 @@ the steps
     exp(i(eps_a - eps_b) j dt) [G_ab(0) + sum_{m=1..j} exp(i eps_b m dt) G_ab(-m)
                                         + sum_{m=1..j} exp(-i eps_a m dt) G_ab(m)],
 
-themselves running sums over the lags. A grid that starts at t0 > 0 adds
-the sums at t0, the cross terms between J(t0) and the steps (one transform
-of complex coefficients per ordered pair, L^2 more, and one more running
-sum), and the constant phase exp(i(eps_a - eps_b) t0) on the double sum.
-Nothing divides by
-theta, so the bins near a level and those far from all go through the same
-sums: O(L^2 (N + T) log(N + T)) work and a few (L^2, T) arrays of memory.
-Each running sum is taken in blocks of ceil(sqrt(T)) steps whose totals are
-summed apart, so an entry carries about 2 sqrt(T) roundings instead of T.
+themselves running sums over the lags. From t0 > 0 the sum at t0 is
+t0^2 exp(i(eps_a - eps_b) t0/2) times a real matrix product of the sincs
+at t0, the double sum takes the phase exp(i(eps_a - eps_b) t0), and the
+cross terms between J(t0) and the steps are real sinc products up to the
+one delay table exp(-i theta (t0 + dt)/2): one transform per ordered pair,
+L^2 more, and one more running sum. Nothing divides by theta, so the bins
+near a level and those far from all go through the same sums: O(L^2 (N + T)
+log(N + T)) work and a few (L^2, T) arrays of memory. Each running sum is
+taken in blocks of ceil(sqrt(T)) steps whose totals are summed apart, so an
+entry carries about 2 sqrt(T) roundings instead of T.
 
 Where the lag sums decay, as for the shipped spectra on their grids, the
 result agrees with the direct sinc form to about 2e-15 relative at every
@@ -201,12 +202,6 @@ def _level_phasors(mol: MolecularSystem, times: TimeGrid) -> np.ndarray:
     return np.exp(1j * np.outer(angular_frequency(mol.energies), times.points))
 
 
-def _window_kernel(theta: np.ndarray, t: float) -> np.ndarray:
-    """Finite-window response (exp(i*theta*t) - 1)/(i*theta), via the exact sinc form."""
-    half = 0.5 * theta * t
-    return t * np.exp(1j * half) * sinc(half)
-
-
 def evolve_unconditional(
     mol: MolecularSystem,
     spectrum: PhotonSpectrum,
@@ -220,14 +215,13 @@ def evolve_unconditional(
 
     The frequency sums sum_n w_n conj(K_a,n) K_b,n of the window kernel come
     from the lag sums of the one-step kernel, summed over the steps (see the
-    module docstring), for every bin alike. Against a trajectory built from
-    the direct sinc form at every time they differ by at most 1.1e-15
-    (source) and 1.4e-15 (5777 K black body) in relative Frobenius norm per
-    time on the fig2 grids, by as much on them from 37.3 fs, and by at most
-    1.8e-15 and 2.3e-15 with five levels and 8,001 times over 400 fs. The
-    t = 0 matrix is exactly zero. Each matrix is exactly Hermitian: the
-    lower triangle is the conjugate of the upper one, and the diagonal is
-    real.
+    module docstring), for every bin and every start alike. Against the direct
+    sinc form at every time they differ by at most 1.1e-15 (source) and 1.4e-15
+    (5777 K black body) in relative Frobenius norm per time on the fig2 grids,
+    1.3e-15 and 1.5e-15 on them from 37.3 fs, 1.8e-15 and 2.3e-15 with five
+    levels and 8,001 times over 400 fs, and under 2e-15 from a start at 1e7 fs.
+    The t = 0 matrix is exactly zero. Each matrix is exactly Hermitian: the
+    lower triangle is the conjugate of the upper one, and the diagonal is real.
     """
     _check_switch_on(times, "evolve_unconditional")
     weight = _amplitude_weight(spectrum, amplitude_ref)
@@ -242,9 +236,9 @@ def evolve_unconditional(
     # conj(K_a(dt)) K_b(dt) = dt^2 exp(i (eps_a - eps_b) dt / 2) s_a s_b with the real
     # s = sinc(theta dt / 2), so with the lag sums R_ab(m) = dt^2 sum_n w_n s_a,n s_b,n
     # exp(-i w_n m dt) of one pair a <= b, G_ab(-m) = exp(i (eps_a - eps_b) dt / 2) R_ab(m),
-    # and G_ab(m) is the same with conj(R_ab(m))
+    # and G_ab(m) is the same with conj(R_ab(m)); np.square, as a float's ** raises on overflow
     step = sinc(0.5 * times.spacing * theta)
-    lagged = _lag_sums(synthesize, times.spacing**2 * weight * step, step, a, b)
+    lagged = _lag_sums(synthesize, np.square(times.spacing) * weight * step, step, a, b)
     # terms[p, m] = exp(i eps_b m dt) R_ab(m) + exp(-i eps_a m dt) conj(R_ab(m)); R_ab(0) at m = 0
     terms = rotation[b] * lagged + (rotation[a] * lagged).conj()
     terms[:, 0] = lagged[:, 0].real
@@ -253,15 +247,20 @@ def evolve_unconditional(
     increments *= _running_sum(terms)
     at_start = 0.0
     if times.min > 0:
-        # cross[a, b, j] = conj of the lag sum at j of w conj(K_a(t0)) exp(i theta_b t0) K_b(dt)
-        first = _window_kernel(theta, times.min)
-        shifted = _window_kernel(theta, times.spacing) * np.exp(1j * theta * times.min)
+        # h_ab = exp(i (eps_a - eps_b) t0 / 2), tau = (t0 + dt) / 2: conj(K_a(t0)) K_b(t0) =
+        # h_ab t0^2 s_a(t0) s_b(t0), conj(K_a(t0)) exp(i theta_b t0) K_b(dt) = h_ab t0 dt s_a(t0)
+        # s_b(dt) exp(i theta_b tau), and cross[a, b, j] is the conj of its lag sum at j over h_ab
+        first = sinc(0.5 * times.min * theta)
+        scaled = weight * first
+        half = np.exp(0.5j * splitting * times.min)[:, None]
+        at_start = np.square(times.min) * (scaled @ first.T)[a, b, None] * half
+        delay = np.exp(-0.5j * (times.min + times.spacing) * theta)
         ordered = np.indices((mol.size, mol.size)).reshape(2, -1)
-        cross = _lag_sums(synthesize, weight * first, shifted.conj(), *ordered)
+        cross = _lag_sums(synthesize, times.min * times.spacing * scaled, step * delay, *ordered)
         cross = cross.reshape(mol.size, mol.size, times.count)
-        increments *= np.exp(1j * splitting * times.min)[:, None]
+        increments *= half
         increments += rotation[a] * cross[b, a] + (rotation[b] * cross[a, b]).conj()
-        at_start = ((weight * first.conj()) @ first.T)[a, b, None]
+        increments *= half
 
     # conj_overlaps[p, k] = sum_n w_n conj(K_a,n) K_b,n at times[k], pair p = (a, b)
     conj_overlaps = np.zeros((a.size, times.count), dtype=complex)

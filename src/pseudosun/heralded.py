@@ -66,6 +66,7 @@ from .numerics import (
     FrequencyGrid,
     TimeGrid,
     _ChirpZ,
+    _check_count,
     angular_frequency,
     sinc,
     trapezoid_weights,
@@ -325,23 +326,29 @@ def _phase_rotated_outer(mol: MolecularSystem, overlap: np.ndarray, elapsed: flo
     return matrix / peak
 
 
-def herald_pad(params: PdcParams, samples: int, pad: float | None, sampling: str) -> float:
-    """Check the settings of a herald average and return its pad.
+def herald_pad(
+    params: PdcParams, times: TimeGrid, samples: int, pad: float | None, sampling: str
+) -> float:
+    """Check the settings of a herald average over times and return its pad.
 
-    samples must be a whole number >= 1 and sampling 'uniform' or 'random'.
-    pad defaults to the entanglement time and must be finite and at least
-    that long, so a pulse reaching into the window is sampled whole.
+    samples must be a whole number in [1, 2**60) and sampling 'uniform' or
+    'random'. pad defaults to the entanglement time and must be finite and at
+    least that long, so a pulse reaching into the window is sampled whole, and
+    the padded window, (t_max - t_min) + 2 pad long, must be finite.
     """
-    if not (samples >= 1 and float(samples).is_integer()):
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    _check_count("samples", samples, 1)
     if sampling not in ("uniform", "random"):
         raise ValidationError(f"sampling must be 'uniform' or 'random', got {sampling!r}")
     if pad is None:
-        return params.entanglement_time
+        pad = params.entanglement_time
     if not (isfinite(pad) and pad >= params.entanglement_time):
         raise ValidationError(
             "pad must be finite and at least the entanglement time "
             f"({params.entanglement_time} fs), got {pad}"
+        )
+    if not isfinite((times.max + pad) - (times.min - pad)):
+        raise ValidationError(
+            f"pad must keep the padded window (t_max - t_min) + 2 pad finite, got {pad}"
         )
     return pad
 
@@ -373,7 +380,7 @@ def average_over_heralds(
     """
     _check_switch_on(times, "average_over_heralds")
     try:
-        pad = herald_pad(params, herald_samples, pad, sampling)
+        pad = herald_pad(params, times, herald_samples, pad, sampling)
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
     lo, hi = times.min - pad, times.max + pad

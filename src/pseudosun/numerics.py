@@ -64,16 +64,7 @@ class _UniformGrid:
             raise ValidationError(f"{kind}: endpoints must be finite")
         if not self.max > self.min:
             raise ValidationError(f"{kind}: max ({self.max}) must exceed min ({self.min})")
-        # Below 2**60 points the float64 array takes under 2**63 bytes, which numpy can address.
-        # The range test comes first, so int() never sees an inf or nan count.
-        if not 2 <= self.count < 2**60 or int(self.count) != self.count:
-            # A finite count past the limit is quoted in short form, such as 4.07e+302, by decimal,
-            # which rounds an int of any size; importing it with the module costs every run 0.4 MB.
-            from decimal import Decimal
-            shown = f"{Decimal(int(self.count)):.3g}" if 2**60 <= self.count < inf else self.count
-            raise ValidationError(
-                f"{kind}: count must be an integer >= 2 and below 2**60, got {shown}"
-            )
+        _check_count(f"{kind}: count", self.count, 2)
 
     @property
     def spacing(self) -> float:
@@ -108,6 +99,21 @@ class FrequencyGrid(_UniformGrid):
 @dataclass(frozen=True)
 class TimeGrid(_UniformGrid):
     """Uniform, endpoint-inclusive time grid in fs."""
+
+
+def _check_count(name: str, count, low: int) -> None:
+    """Reject a count that is not a whole number in [low, 2**60), naming it.
+
+    Below 2**60 points a float64 array takes under 2**63 bytes, which numpy can
+    address. The range test comes first, so int() never sees an inf or nan
+    count, and an integer of any size is compared exactly, never through float().
+    """
+    if not low <= count < 2**60 or int(count) != count:
+        # A finite count past the limit is quoted in short form, such as 4.07e+302, by decimal,
+        # which rounds an int of any size; importing it with the module costs every run 0.4 MB.
+        from decimal import Decimal
+        shown = f"{Decimal(int(count)):.3g}" if 2**60 <= count < inf else count
+        raise ValidationError(f"{name} must be an integer >= {low} and below 2**60, got {shown}")
 
 
 def trapezoid_weights(count: int, spacing: float) -> np.ndarray:

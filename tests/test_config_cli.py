@@ -52,6 +52,8 @@ SMALL_EXACT = {
     "method": "exact_quadrature",
     "times": {"min": 0.0, "max": 40.0, "count": 401},
 }
+#: Configs kept in the repo for what no shipped config runs; CI reruns them as well.
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def write_config(path, payload):
@@ -103,10 +105,10 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize(
         "command, config, seed",
         [
-            ("spectrum", "fig1", None),
+            ("spectrum", example_config("fig1"), None),
             ("fit", {"fit": SMALL_FIT}, None),
-            ("dynamics", "fig2", None),
-            ("heralded", "fig3a", None),
+            ("dynamics", example_config("fig2"), None),
+            ("heralded", example_config("fig3a"), None),
             (
                 "heralded",
                 {
@@ -119,12 +121,22 @@ class TestSpectrumCommand:
                 "7",
             ),
             ("coincidence", {"coincidence": dict(SMALL_EXACT, herald_time=20.0)}, None),
+            # five levels from a late start: the cross terms only a start after 0 adds
+            ("dynamics", CORPUS / "five_levels.json", None),
         ],
-        ids=["fig1", "fit", "fig2", "fig3a", "exact-heralded-random-average", "exact-coincidence"],
+        ids=[
+            "fig1",
+            "fit",
+            "fig2",
+            "fig3a",
+            "exact-heralded-random-average",
+            "exact-coincidence",
+            "five-levels",
+        ],
     )
-    def test_byte_identical_reruns(self, tmp_path, command, config, seed):
-        if isinstance(config, str):
-            path = str(example_config(config))
+    def test_byte_identical_reruns(self, tmp_path, capsys, command, config, seed):
+        if isinstance(config, Path):
+            path = str(config)
         else:
             path = write_config(tmp_path / "config.json", config)
         seed_args = [] if seed is None else ["--seed", seed]
@@ -133,6 +145,7 @@ class TestSpectrumCommand:
             assert main([command, "--config", path, "--out", str(out), *seed_args]) == 0
             runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert runs[0] and runs[0] == runs[1]
+        assert capsys.readouterr().err == ""
 
     def test_zero_frequency_window_rejected(self, tmp_path):
         payload = {
@@ -193,6 +206,10 @@ class TestConfigValidation:
         assert main(["spectrum", "--config", config, "--out", str(tmp_path), "--seed", "-1"]) == 2
 
 
+SAMPLES_RULE = "samples must be an integer >= 1 and below 2**60"
+PADDED_WINDOW_RULE = "pad must keep the padded window (t_max - t_min) + 2 pad finite"
+
+
 class TestBoundaryRejection:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_literal_rejected(self, tmp_path, capsys, literal):
@@ -230,6 +247,26 @@ class TestBoundaryRejection:
         }
         with pytest.raises(ps.ValidationError, match="heralded.average.pad"):
             parse_heralded(block)
+
+    @pytest.mark.parametrize(
+        "average, message",
+        [
+            ({"samples": 10**400}, f"{SAMPLES_RULE}, got 1.00e+400"),
+            ({"samples": 2**70}, f"{SAMPLES_RULE}, got 1.18e+21"),
+            ({"samples": 4, "pad": 1e308}, f"{PADDED_WINDOW_RULE}, got 1e+308"),
+        ],
+        ids=["samples-past-float", "samples-past-2**60", "pad-overflows-window"],
+    )
+    def test_average_out_of_range_is_bad_input(self, tmp_path, capsys, average, message):
+        # 10**400 samples failed in float(samples) and 2**70 in np.linspace, both with a
+        # traceback and exit 1; the padded window overflowed in np.linspace, with exit 3.
+        block = command_block(load_config(example_config("fig3a")), "heralded")
+        block["average"] = average
+        config = write_config(tmp_path / "average.json", {"heralded": block})
+        out = tmp_path / "run"
+        assert main(["heralded", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: heralded.average: {message}\n"
+        assert not out.exists()
 
     def test_oversized_integer_literal_rejected(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -1112,6 +1149,21 @@ def test_overflow_is_one_numerical_failure_line(tmp_path, capsys, command):
     assert caught == []
     err = capsys.readouterr().err
     assert err == f"numerical failure: {command}: overflow encountered in multiply\n"
+    assert not out.exists()
+
+
+def test_huge_time_step_is_one_numerical_failure_line(tmp_path, capsys):
+    # A float's ** raised OverflowError on the squared 5e157 fs step: a traceback, exit 1.
+    block = command_block(load_config(example_config("fig2")), "dynamics")
+    block["times"] = {"min": 1e160, "max": 2e160, "count": 201}
+    config = write_config(tmp_path / "huge_step.json", {"dynamics": block})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dynamics", "--config", config, "--out", str(out)]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == "numerical failure: dynamics: overflow encountered in square\n"
     assert not out.exists()
 
 

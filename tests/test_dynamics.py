@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import pseudosun as ps
-from pseudosun.dynamics import _amplitude_weight, _running_sum, _window_kernel
-from pseudosun.numerics import C_CM_PER_FS, _ChirpZ, angular_frequency
+from pseudosun.dynamics import _amplitude_weight, _running_sum
+from pseudosun.numerics import C_CM_PER_FS, _ChirpZ, angular_frequency, sinc
 
 from conftest import (
     AMP_REF,
@@ -31,14 +31,19 @@ def small_spectrum(count=161):
 
 
 def evolve_by_direct_kernel(mol, spectrum, times, amplitude_ref):
-    """Reference trajectory with the window kernel evaluated directly at every time."""
+    """Reference trajectory with the window kernel evaluated directly at every time.
+
+    The kernel is (exp(i theta t) - 1) / (i theta) in its exact sinc form,
+    t exp(i theta t / 2) sinc(theta t / 2), with no step or lag sum.
+    """
     weight = _amplitude_weight(spectrum, amplitude_ref)
     level_ang = angular_frequency(mol.energies)
     theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]
     mu_outer = np.outer(mol.dipoles, mol.dipoles)
     matrices = np.empty((times.count, mol.size, mol.size), dtype=complex)
     for k, t in enumerate(times.points):
-        kernel = _window_kernel(theta, t)
+        half = 0.5 * theta * t
+        kernel = t * np.exp(1j * half) * sinc(half)
         overlap = (kernel * weight) @ kernel.conj().T
         phase = np.exp(-1j * (level_ang[:, None] - level_ang[None, :]) * t)
         matrices[k] = mu_outer * phase * overlap.conj()
@@ -291,7 +296,7 @@ class TestShiftedOverlaps:
     def test_time_counts(self, count):
         self.matches_direct(TWO_LEVEL, small_spectrum(161), ps.TimeGrid(0.0, 50.0, count))
 
-    @pytest.mark.parametrize("start", [0.0, 3.7])
+    @pytest.mark.parametrize("start", [0.0, 3.7, 1000.0, 1e7])
     @pytest.mark.parametrize("levels", list(TestSteppedBlocks.LEVELS))
     def test_levels_and_starts(self, levels, start):
         mol = TestSteppedBlocks.LEVELS[levels]
@@ -323,8 +328,8 @@ class TestShiftedOverlaps:
             assert peak - traj.matrices.nbytes <= 6 * table, start
 
 
-#: Detuning in rad/fs (about 530 cm^-1) within which a closed form over
-#: 1/(theta_a theta_b) cancels: the cases below put bins on both sides of it.
+#: Detuning in rad/fs (about 530 cm^-1) that splits the bins near a level from those
+#: far from all; the kernel treats both alike, and the cases below put bins on both sides.
 NEAR_THETA = 0.1
 
 
@@ -393,8 +398,9 @@ class TestNearFarSplit:
         want = evolve_by_direct_kernel(mol, spectrum, times, AMP_REF)
         assert relative_frobenius(got, want) <= 1e-12
         assert np.all(got[0] == 0.0) if times.min == 0.0 else np.all(got[0] != 0.0)
-        # every bin goes through the one kernel: one transform of real coefficients
-        # per pair a <= b, and the L^2 complex cross lag sums of a grid that starts after 0
+        # every bin goes through the one kernel: one transform of real coefficients per
+        # pair a <= b and, from a start after 0, one per ordered pair of real sinc products
+        # times the one delay table exp(-i theta (t0 + dt) / 2), hence complex
         bins = (spectrum.grid.count,)
         pairs = [(bins, "f")] * (mol.size * (mol.size + 1) // 2)
         assert calls == pairs + ([] if times.min == 0.0 else [(bins, "c")] * mol.size**2)
