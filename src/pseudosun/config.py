@@ -34,8 +34,8 @@ from pathlib import Path
 
 from .errors import FieldError, ValidationError
 from .fitting import FitProblem, _check_settings
-from .heralded import FieldMethod, default_field_grid, field_span, herald_pad
-from .dynamics import MolecularSystem, NormalizationMode
+from .heralded import FieldMethod, default_field_grid, field_span, herald_window
+from .dynamics import MolecularSystem, NormalizationMode, _check_step
 from .numerics import FrequencyGrid, TimeGrid
 from .output import format_value, script_name
 from .pdc import PdcParams, ThermalParams, thermal_mean
@@ -203,26 +203,31 @@ def _check_normalization(molecule: Molecule, mode: NormalizationMode) -> None:
         )
 
 
-def _check_field_grid(
-    method: FieldMethod,
-    field_grid: FrequencyGrid | None,
-    pdc: PdcParams,
-    times: TimeGrid,
-    heralds: list[tuple[str, float, float]],
-) -> None:
-    """Only the exact field integrates over a frequency grid; the rect field would ignore it.
+def _check_heralds(config, heralds: dict[str, float], window: tuple[float, float] | None = None):
+    """The rules on the heralds of a heralded or coincidence config, each naming its key.
 
-    Without a field_grid the exact field takes the default one, whose window
-    of sinc lobes the entanglement time sets and whose spacing resolves the
-    field_span of each (key, first, last) herald range, so that must be a
-    grid. A window too long for even a herald at its center is blamed on
-    times, any other span on the key of its heralds.
+    heralds maps each single herald's key to its time, and window is the average's (lo, hi).
+    rect_approx takes no field_grid, and each pulse, nonzero within entanglement_time / 2,
+    must reach a time. Without a field_grid exact_quadrature takes the default grid, which
+    must exist at the field_span of each field source: a herald at the window's center,
+    blamed on times, each herald, and the average.
     """
-    if field_grid is not None and method is not FieldMethod.EXACT_QUADRATURE:
-        raise FieldError(
-            f"field_grid: only method exact_quadrature uses a field grid, got method {method.value}"
-        )
-    if field_grid is not None or method is not FieldMethod.EXACT_QUADRATURE:
+    method, pdc, times = config.method, config.pdc, config.times
+    if method is FieldMethod.RECT_APPROX:
+        if config.field_grid is not None:
+            raise FieldError(
+                "field_grid: only method exact_quadrature uses a field grid, got method rect_approx"
+            )
+        half = 0.5 * pdc.entanglement_time
+        for key, herald in heralds.items():
+            if not _reaches_a_time(times, herald, half):
+                raise FieldError(
+                    f"{key}: the {pdc.entanglement_time} fs rect_approx pulse heralded at "
+                    f"{herald} fs reaches no time of times (all over {half} fs away), so the "
+                    "molecule sees no light"
+                )
+        return
+    if config.field_grid is not None:
         return
     try:
         default_field_grid(pdc)
@@ -232,8 +237,10 @@ def _check_field_grid(
             f"around signal_center {pdc.signal_center} ({exc}); set field_grid"
         ) from None
     center = 0.5 * times.min + 0.5 * times.max
-    for key, first, last in [("times", center, center), *heralds]:
-        span = field_span(times, first, last)
+    spans = {key: field_span(times, t, t) for key, t in {"times": center, **heralds}.items()}
+    if window is not None:
+        spans["average"] = field_span(times, *window)
+    for key, span in spans.items():
         try:
             default_field_grid(pdc, time_span=span)
         except ValidationError as exc:
@@ -241,21 +248,6 @@ def _check_field_grid(
                 f"{key}: a herald {span:.6g} fs from the far end of the window leaves no "
                 f"default field grid ({exc}); set field_grid"
             ) from None
-
-
-def _check_rect_heralds(
-    method: FieldMethod, pdc: PdcParams, times: TimeGrid, heralds: dict[str, float]
-) -> None:
-    """Each herald's rect_approx pulse, nonzero within entanglement_time / 2, must reach a time."""
-    if method is not FieldMethod.RECT_APPROX:
-        return
-    half = 0.5 * pdc.entanglement_time
-    for key, herald in heralds.items():
-        if not _reaches_a_time(times, herald, half):
-            raise FieldError(
-                f"{key}: the {pdc.entanglement_time} fs rect_approx pulse heralded at {herald} fs "
-                f"reaches no time of times (all over {half} fs away), so the molecule sees no light"
-            )
 
 
 def _reaches_a_time(times: TimeGrid, herald: float, half: float) -> bool:
@@ -369,6 +361,7 @@ class DynamicsConfig(_TrajectoryConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_step(self.times)
         _check_normalization(self.molecule, self.normalization)
         tables = [("output", self.output)]
         if self.blackbody is not None:
@@ -383,7 +376,7 @@ def parse_dynamics(block: dict) -> DynamicsConfig:
 
 @dataclass(frozen=True)
 class AverageSpec:
-    """Settings of a herald average; heralded.herald_pad holds their rules."""
+    """Settings of a herald average; heralded.herald_window holds their rules."""
 
     samples: int
     pad: float | None = None
@@ -406,16 +399,14 @@ class HeraldedConfig(_TrajectoryConfig):
         if len(set(self.herald_times)) != len(self.herald_times):
             raise FieldError(f"herald_times: duplicate herald times in {list(self.herald_times)}")
         super().__post_init__()
-        heralds = [("herald_times", min(self.herald_times), max(self.herald_times))]
+        window = None
         if self.average is not None:
             try:
-                pad = herald_pad(self.pdc, self.times, **vars(self.average))
+                window = herald_window(self.pdc, self.times, **vars(self.average))
             except ValidationError as exc:
                 raise FieldError(f"average: {exc}") from None
-            heralds.append(("average", self.times.min - pad, self.times.max + pad))
-        _check_field_grid(self.method, self.field_grid, self.pdc, self.times, heralds)
-        by_key = {f"herald_times[{k}]": t for k, t in enumerate(self.herald_times)}
-        _check_rect_heralds(self.method, self.pdc, self.times, by_key)
+        heralds = {f"herald_times[{k}]": t for k, t in enumerate(self.herald_times)}
+        _check_heralds(self, heralds, window)
         _check_normalization(self.molecule, self.normalization)
         tables = [("output_prefix", self.herald_output(t)) for t in self.herald_times]
         if self.average is not None:
@@ -441,9 +432,7 @@ class CoincidenceConfig(_TrajectoryConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        heralds = [("herald_time", self.herald_time, self.herald_time)]
-        _check_field_grid(self.method, self.field_grid, self.pdc, self.times, heralds)
-        _check_rect_heralds(self.method, self.pdc, self.times, {"herald_time": self.herald_time})
+        _check_heralds(self, {"herald_time": self.herald_time})
         _check_outputs(self, ("output",), [("output", self.output)])
 
 

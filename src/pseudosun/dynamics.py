@@ -69,7 +69,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import NormalizationError, ValidationError
+from .errors import FieldError, NormalizationError, ValidationError
 from .numerics import (
     FrequencyGrid,
     TimeGrid,
@@ -197,6 +197,19 @@ def _check_switch_on(times: TimeGrid, caller: str) -> None:
         raise ValidationError(f"{caller}: times must start at or after 0, got {times.min}")
 
 
+def _check_step(times: TimeGrid) -> None:
+    """Reject a time step whose square, which scales every lag sum, is not a normal float.
+
+    Below np.finfo(float).tiny dt^2 is subnormal and loses digits (5e-6 of the normalized
+    fig2 trajectory at dt = 5e-161 fs), then underflows to 0, which zeroes every entry.
+    """
+    if not np.square(times.spacing) >= np.finfo(float).tiny:
+        raise FieldError(
+            f"times: the step {times.spacing} fs is below 1.5e-154 fs, so its square is not a "
+            "normal float"
+        )
+
+
 def _level_phasors(mol: MolecularSystem, times: TimeGrid) -> np.ndarray:
     """exp(i eps_a t) for every level a and time t, shape (L, n_times)."""
     return np.exp(1j * np.outer(angular_frequency(mol.energies), times.points))
@@ -224,6 +237,7 @@ def evolve_unconditional(
     lower triangle is the conjugate of the upper one, and the diagonal is real.
     """
     _check_switch_on(times, "evolve_unconditional")
+    _check_step(times)
     weight = _amplitude_weight(spectrum, amplitude_ref)
     level_ang = angular_frequency(mol.energies)
     theta = angular_frequency(spectrum.grid.points)[None, :] - level_ang[:, None]

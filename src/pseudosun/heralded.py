@@ -326,10 +326,10 @@ def _phase_rotated_outer(mol: MolecularSystem, overlap: np.ndarray, elapsed: flo
     return matrix / peak
 
 
-def herald_pad(
+def herald_window(
     params: PdcParams, times: TimeGrid, samples: int, pad: float | None, sampling: str
-) -> float:
-    """Check the settings of a herald average over times and return its pad.
+) -> tuple[float, float]:
+    """Check the settings of a herald average and return its window (t_min - pad, t_max + pad).
 
     samples must be a whole number in [1, 2**60) and sampling 'uniform' or
     'random'. pad defaults to the entanglement time and must be finite and at
@@ -346,11 +346,12 @@ def herald_pad(
             "pad must be finite and at least the entanglement time "
             f"({params.entanglement_time} fs), got {pad}"
         )
-    if not isfinite((times.max + pad) - (times.min - pad)):
+    lo, hi = times.min - pad, times.max + pad
+    if not isfinite(hi - lo):
         raise ValidationError(
             f"pad must keep the padded window (t_max - t_min) + 2 pad finite, got {pad}"
         )
-    return pad
+    return lo, hi
 
 
 def average_over_heralds(
@@ -380,10 +381,9 @@ def average_over_heralds(
     """
     _check_switch_on(times, "average_over_heralds")
     try:
-        pad = herald_pad(params, times, herald_samples, pad, sampling)
+        lo, hi = herald_window(params, times, herald_samples, pad, sampling)
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
-    lo, hi = times.min - pad, times.max + pad
     field_at = _field_source(times, params, grid, method, lo, hi)
     if sampling == "random":
         rng = np.random.default_rng(seed)

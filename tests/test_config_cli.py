@@ -103,46 +103,19 @@ class TestSpectrumCommand:
         assert (out / "fig1_spectrum.gp").exists()
 
     @pytest.mark.parametrize(
-        "command, config, seed",
-        [
-            ("spectrum", example_config("fig1"), None),
-            ("fit", {"fit": SMALL_FIT}, None),
-            ("dynamics", example_config("fig2"), None),
-            ("heralded", example_config("fig3a"), None),
-            (
-                "heralded",
-                {
-                    "heralded": dict(
-                        SMALL_EXACT,
-                        herald_times=[10.0, 20.5],
-                        average={"samples": 8, "sampling": "random", "pad": 5.0},
-                    )
-                },
-                "7",
-            ),
-            ("coincidence", {"coincidence": dict(SMALL_EXACT, herald_time=20.0)}, None),
-            # five levels from a late start: the cross terms only a start after 0 adds
-            ("dynamics", CORPUS / "five_levels.json", None),
-        ],
-        ids=[
-            "fig1",
-            "fit",
-            "fig2",
-            "fig3a",
-            "exact-heralded-random-average",
-            "exact-coincidence",
-            "five-levels",
-        ],
+        "config",
+        [example_config(name) for name in ("fig1", "fig2", "fig3a", "fig3b")]
+        + sorted(CORPUS.glob("*.json")),
+        ids=lambda path: path.stem.replace("_", "-"),
     )
-    def test_byte_identical_reruns(self, tmp_path, capsys, command, config, seed):
-        if isinstance(config, Path):
-            path = str(config)
-        else:
-            path = write_config(tmp_path / "config.json", config)
-        seed_args = [] if seed is None else ["--seed", seed]
+    def test_byte_identical_reruns(self, tmp_path, capsys, config):
+        # Every shipped and corpus config, as CI's rerun step runs them: the command is the
+        # config's one top-level key, and every run gets the seed a random average needs.
+        (command,) = json.loads(config.read_text())
         runs = []
         for out in (tmp_path / "a", tmp_path / "b"):
-            assert main([command, "--config", path, "--out", str(out), *seed_args]) == 0
+            args = [command, "--config", str(config), "--out", str(out), "--seed", "2026"]
+            assert main(args) == 0
             runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert runs[0] and runs[0] == runs[1]
         assert capsys.readouterr().err == ""
@@ -553,7 +526,8 @@ class TestBoundaryRejection:
     @pytest.mark.parametrize(
         "command, change, key, span",
         [
-            ("heralded", {"herald_times": [1e300]}, "herald_times", "1e+300"),
+            ("heralded", {"herald_times": [1e300]}, "herald_times[0]", "1e+300"),
+            ("heralded", {"herald_times": [10.0, 1e300]}, "herald_times[1]", "1e+300"),
             ("heralded", {"times": {"min": 0.0, "max": 1e300, "count": 401}}, "times", "5e+299"),
             ("heralded", {"average": {"samples": 4, "pad": 1e300}}, "average", "1e+300"),
             ("coincidence", {"herald_time": 1e300}, "herald_time", "1e+300"),
@@ -565,13 +539,22 @@ class TestBoundaryRejection:
                 "5e+307",
             ),
         ],
-        ids=["herald_times", "times", "average-pad", "coincidence", "overflowing-span"],
+        ids=[
+            "herald_times",
+            "second-herald",
+            "times",
+            "average-pad",
+            "coincidence",
+            "overflowing-span",
+        ],
     )
     def test_default_field_grid_checked_at_the_span_used(
         self, tmp_path, capsys, monkeypatch, command, change, key, span
     ):
-        # The field source resolves the largest herald-to-window distance, and the config
-        # reader checks the default grid at that same span (heralded.field_span).
+        # Each herald's field source resolves that herald's largest distance to a time of the
+        # window, and the average's source the largest over its padded window
+        # (heralded.field_span). The config reader checks the default grid at each of those
+        # spans and names the herald, the average, or times if even the window's center fails.
         heralds = {"herald_times": [10.0]} if command == "heralded" else {"herald_time": 10.0}
         block = {**SMALL_EXACT, **heralds, **change}
 
@@ -937,6 +920,26 @@ class TestDynamicsCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("span, code", [(1e-300, 2), (1e-158, 2), (1e-150, 0)])
+    def test_step_whose_square_is_subnormal_is_bad_input(self, tmp_path, capsys, span, code):
+        # dt^2 scales every lag sum: at 1e-300 it underflowed to 0 and the run exited 3 in its
+        # normalization; at 1e-158 it was subnormal and the trajectory lost digits (5e-6).
+        block = json.loads(example_config("fig2").read_text())["dynamics"]
+        block["times"] = {"min": 0.0, "max": span, "count": 201}
+        config = write_config(tmp_path / "fig2.json", {"dynamics": block})
+        out = tmp_path / "run"
+        assert main(["dynamics", "--config", config, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and out.exists()
+        else:
+            step = span / 200
+            assert err == (
+                f"error: dynamics.times: the step {step} fs is below 1.5e-154 fs, so its square "
+                "is not a normal float\n"
+            )
+            assert not out.exists()
 
 
 class TestHeraldedCommand:

@@ -143,6 +143,11 @@ class TestEvolveUnconditional:
                 TWO_LEVEL, small_spectrum(), ps.TimeGrid(-1.0, 10.0, 5), AMP_REF
             )
 
+    @pytest.mark.parametrize("span", [1e-300, 1e-158])
+    def test_step_whose_square_is_subnormal_rejected(self, span):
+        with pytest.raises(ps.ValidationError, match=r"^times: the step .* is below 1\.5e-154 fs"):
+            ps.evolve_unconditional(TWO_LEVEL, small_spectrum(), ps.TimeGrid(0.0, span, 5), AMP_REF)
+
     def test_single_level_linear_growth_with_locked_slope(self):
         spectrum = ps.mean_photon_number(DYN_GRID, REF_PDC)
         traj = ps.evolve_unconditional(ONE_LEVEL, spectrum, TIMES_100, amplitude_ref=AMP_REF)
