@@ -340,7 +340,7 @@ def parse_fit(block: dict) -> FitConfig:
 
 @dataclass(frozen=True)
 class _TrajectoryConfig:
-    """The keys every trajectory command shares, and the switch-on rule."""
+    """The keys every trajectory command shares, the switch-on rule and the time-step rule."""
 
     molecule: Molecule
     pdc: PdcParams
@@ -349,6 +349,7 @@ class _TrajectoryConfig:
     def __post_init__(self):
         if self.times.min < 0:
             raise FieldError("times.min: must be >= 0 (light switches on at t = 0)")
+        _check_step(self.times)
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,6 @@ class DynamicsConfig(_TrajectoryConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_step(self.times)
         _check_normalization(self.molecule, self.normalization)
         tables = [("output", self.output)]
         if self.blackbody is not None:

@@ -74,6 +74,7 @@ from .numerics import (
 from .dynamics import (
     DensityTrajectory,
     MolecularSystem,
+    _check_step,
     _check_switch_on,
     _hermitian,
     _level_phasors,
@@ -253,6 +254,7 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajec
     average is, so each matrix is exactly Hermitian.
     """
     _check_switch_on(field.times, "evolve_heralded")
+    _check_step(field.times)
     return _assemble(mol, field.times, [field.amplitudes])
 
 
@@ -380,6 +382,7 @@ def average_over_heralds(
     single-herald trajectories of those fields.
     """
     _check_switch_on(times, "average_over_heralds")
+    _check_step(times)
     try:
         lo, hi = herald_window(params, times, herald_samples, pad, sampling)
     except ValidationError as exc:

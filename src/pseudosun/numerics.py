@@ -17,6 +17,7 @@ unconditional dynamics alike.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import frexp, inf, ldexp
 
@@ -154,7 +155,8 @@ class _ChirpZ:
     0.37 s instead of 0.27 s. numpy's FFT still allocates scratch of about
     twice the transform size inside each transform, even with out= (seen
     as page faults; tracemalloc does not count it). The heralded field and
-    the unconditional dynamics both synthesize their sums here.
+    the unconditional dynamics both synthesize their sums here; the
+    dynamics keep one plan across calls and give each call a twin of it.
     """
 
     def __init__(self, grid: FrequencyGrid, dtau: float, count: int):
@@ -181,6 +183,12 @@ class _ChirpZ:
         work *= self.kernel
         np.fft.ifft(work, out=work)
         return self.post * work[: self.count]
+
+    def twin(self) -> _ChirpZ:
+        """A synthesizer on this one's tables with a work buffer of its own."""
+        twin = copy.copy(self)
+        twin.work = np.empty(self.size, dtype=complex)
+        return twin
 
 
 def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 import typing
 import warnings
@@ -942,6 +946,27 @@ class TestDynamicsCommand:
             assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["rect_approx", "exact_quadrature"])
+@pytest.mark.parametrize("command", ["heralded", "coincidence"])
+def test_step_whose_square_is_subnormal_is_bad_input_in_every_trajectory_command(
+    tmp_path, capsys, command, method
+):
+    # The step rule of dynamics: with a 5e-203 fs step both commands exited 3, as the
+    # step's square underflowed to 0 and so did every entry.
+    block = dict(SMALL_HERALDED, method=method, herald_times=[0.0])
+    block["times"] = {"min": 0.0, "max": 1e-200, "count": 201}
+    if command == "coincidence":
+        block["herald_time"] = block.pop("herald_times")[0]
+    config = write_config(tmp_path / "tiny_step.json", {command: block})
+    out = tmp_path / "run"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {command}.times: the step 5e-203 fs is below 1.5e-154 fs, so its square is "
+        "not a normal float\n"
+    )
+    assert not out.exists()
+
+
 class TestHeraldedCommand:
     def test_fig3a_plateau(self, tmp_path):
         out = tmp_path / "run"
@@ -1168,6 +1193,84 @@ def test_huge_time_step_is_one_numerical_failure_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "numerical failure: dynamics: overflow encountered in square\n"
     assert not out.exists()
+
+
+class TestAllocatorThresholds:
+    """main has glibc keep freed memory once per process; elsewhere it changes nothing."""
+
+    @staticmethod
+    def lacks_mallopt(name):
+        return object()
+
+    @staticmethod
+    def cannot_load(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("cdll", ["lacks_mallopt", "cannot_load"])
+    def test_run_without_mallopt_writes_the_same_bytes(self, tmp_path, capsys, monkeypatch, cdll):
+        config = str(example_config("fig2"))
+        tried = []
+
+        def loader(name):
+            tried.append(name)
+            return getattr(self, cdll)(name)
+
+        runs = []
+        for out in (tmp_path / "with", tmp_path / "without"):
+            assert main(["dynamics", "--config", config, "--out", str(out)]) == 0
+            runs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+            cli._keep_freed_memory.cache_clear()
+            monkeypatch.setattr(ctypes, "CDLL", loader)
+        assert tried == [None]
+        assert runs[0] == runs[1]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's mallopt")
+    def test_only_main_sets_the_thresholds(self, tmp_path):
+        code = """
+import ctypes, sys
+calls = []
+libc = ctypes.CDLL(None)
+class Recorder:
+    def __init__(self, name):
+        self.mallopt = lambda *args: calls.append(args) or libc.mallopt(*args)
+ctypes.CDLL = Recorder
+import pseudosun, pseudosun.cli
+assert calls == [], calls
+for out in ("a", "b"):
+    assert pseudosun.cli.main(["spectrum", "--config", sys.argv[1], "--out", out]) == 0
+print(calls)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(example_config("fig1"))],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        assert run.stdout == f"[(-1, {16 << 20}), (-3, {1 << 20})]\n"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+    def test_fig2_operation_page_faults_bounded(self, tmp_path):
+        # At glibc's default thresholds a fig2 dynamics run faulted 400-1,250 times in
+        # process after the first (3,846 for these five with the kernel cache alone), as
+        # the heap top was trimmed after each trajectory and faulted in again; with the
+        # thresholds main sets it faults 0-8 times.
+        code = """
+import resource, sys
+from pseudosun.cli import main
+args = ["dynamics", "--config", sys.argv[1], "--out"]
+for k in range(3):
+    assert main(args + [f"warm{k}"]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k in range(5):
+    assert main(args + [f"op{k}"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(example_config("fig2"))],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        assert int(run.stdout) < 5 * 50
 
 
 @pytest.mark.parametrize(

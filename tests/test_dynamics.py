@@ -1,11 +1,15 @@
+import json
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import pseudosun as ps
-from pseudosun.dynamics import _amplitude_weight, _running_sum
+from pseudosun.cli import main
+from pseudosun.dynamics import _amplitude_weight, _build_kernel, _kernel, _running_sum
 from pseudosun.numerics import C_CM_PER_FS, _ChirpZ, angular_frequency, sinc
 
 from conftest import (
@@ -13,6 +17,7 @@ from conftest import (
     DYN_GRID,
     ONE_LEVEL,
     REF_PDC,
+    SOLAR,
     TIMES_100,
     TWO_LEVEL,
     structural_checks,
@@ -443,6 +448,82 @@ def assert_exactly_hermitian(traj):
     populations_imag = np.diagonal(traj.matrices, axis1=1, axis2=2).imag
     assert np.all(populations_imag == 0.0)
     assert not np.any(np.signbit(populations_imag))
+
+
+class TestKernelCache:
+    """The tables evolve_unconditional keeps for the last levels and grids, against fresh ones."""
+
+    TIMES = {"fig2": TIMES_100, "five-levels-from-3fs": ps.TimeGrid(3.0, 103.0, 2001)}
+    LEVELS = {"fig2": TWO_LEVEL, "five-levels-from-3fs": FIVE_LEVEL}
+
+    @staticmethod
+    def lights():
+        return [ps.mean_photon_number(DYN_GRID, REF_PDC), ps.thermal_mean(DYN_GRID, SOLAR)]
+
+    @pytest.mark.parametrize("name", list(TIMES))
+    def test_warm_calls_equal_cold_calls_bit_for_bit(self, name):
+        mol, times = self.LEVELS[name], self.TIMES[name]
+        lights = self.lights()
+        cold = []
+        for spectrum in lights:
+            _build_kernel.cache_clear()
+            cold.append(ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices.tobytes())
+        # the source light and 5777 K, in the CLI's order, then the source again, all cache hits
+        warm = [
+            ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices.tobytes()
+            for spectrum in lights + lights[:1]
+        ]
+        assert _build_kernel.cache_info().hits == 3
+        assert warm == cold + cold[:1]
+
+    def test_negative_zero_start_after_positive_zero_writes_cold_bytes(self, tmp_path):
+        # 0.0 == -0.0, so a key of the floats themselves would hand the -0.0 run the 0.0 tables
+        block = json.loads(ps.example_config("fig2").read_text())["dynamics"]
+        configs = {}
+        for name, start in (("positive", 0.0), ("negative", -0.0)):
+            block["times"]["min"] = start
+            configs[name] = tmp_path / f"{name}.json"
+            configs[name].write_text(json.dumps({"dynamics": block}))
+        assert '"min": -0.0' in configs["negative"].read_text()
+
+        def run(name, out):
+            assert main(["dynamics", "--config", str(configs[name]), "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        _build_kernel.cache_clear()
+        run("positive", tmp_path / "positive")
+        warm = run("negative", tmp_path / "warm")
+        assert _build_kernel.cache_info().misses == 2
+        _build_kernel.cache_clear()
+        assert run("negative", tmp_path / "cold") == warm
+
+    def test_cached_tables_are_read_only(self):
+        kernel = _kernel(FIVE_LEVEL, DYN_GRID, self.TIMES["five-levels-from-3fs"])
+        plan = kernel.plan
+        tables = [plan.pre, plan.post, plan.kernel]
+        tables += [value for value in vars(kernel).values() if isinstance(value, np.ndarray)]
+        assert len(tables) == 3 + 7 and plan.work is None
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+
+    def test_concurrent_calls_return_the_sequential_results(self):
+        # each call synthesizes through a work buffer of its own; the shared plan has none
+        mol, times = FIVE_LEVEL, self.TIMES["five-levels-from-3fs"]
+        lights = self.lights()
+        want = [ps.evolve_unconditional(mol, s, times, AMP_REF).matrices.tobytes() for s in lights]
+        start = threading.Barrier(len(lights))
+
+        def evolve(spectrum):
+            start.wait()
+            return [
+                ps.evolve_unconditional(mol, spectrum, times, AMP_REF).matrices.tobytes()
+                for _ in range(3)
+            ]
+
+        with ThreadPoolExecutor(len(lights)) as pool:
+            got = list(pool.map(evolve, lights))
+        assert got == [[bits] * 3 for bits in want]
 
 
 class TestBlackbody:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pseudosun as ps
+from pseudosun.errors import FieldError
 from pseudosun.heralded import _assemble, _field_profile, _field_source, _phase_tables
 from pseudosun.numerics import C_CM_PER_FS, _ChirpZ, angular_frequency
 
@@ -317,6 +318,22 @@ def test_switch_on_error_names_caller(caller):
     }
     message = f"{caller}: times must start at or after 0, got -1.0"
     with pytest.raises(ps.ValidationError, match=f"^{message}$"):
+        calls[caller]()
+
+
+@pytest.mark.parametrize("caller", ["evolve_heralded", "average_over_heralds"])
+@pytest.mark.parametrize("span", [1e-300, 1e-158])
+def test_step_whose_square_is_subnormal_rejected(caller, span, monkeypatch):
+    # dt^2 scales every heralded entry: at 1e-200 fs the trajectory was 0 and its
+    # normalization failed; the rule holds before any field is built for an average
+    times = ps.TimeGrid(0.0, span, 201)
+    field = ps.HeraldedField(times, np.ones(times.count))
+    monkeypatch.setattr(ps.heralded, "_field_source", None)
+    calls = {
+        "evolve_heralded": lambda: ps.evolve_heralded(TWO_LEVEL, field),
+        "average_over_heralds": lambda: ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 4),
+    }
+    with pytest.raises(FieldError, match=r"^times: the step .* is below 1\.5e-154 fs"):
         calls[caller]()
 
 
