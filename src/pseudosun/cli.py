@@ -123,7 +123,9 @@ def _keep_freed_memory() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main looks up the runner at each call."""
     parser = argparse.ArgumentParser(
         prog="pseudosun",
         description="Sunlight-like photon statistics from CW down-conversion "

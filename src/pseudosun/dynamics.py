@@ -61,8 +61,8 @@ of the energies and of both grids' ends, with the two counts, so 0.0 and
 and every later call on the same grids find it, and a call on other grids
 replaces it. It holds 0.71 MB at the fig2 sizes (L = 2, N = 8,192,
 T = 2,001), 2.8 MB for five levels from 3 fs and 12.4 MB at L = 5,
-T = 20,001. Its arrays are read-only and each call transforms in a work
-buffer of its own, so concurrent calls are safe.
+T = 20,001. Its arrays are read-only, the plan's too, and each call
+transforms in a work buffer it allocates, so concurrent calls are safe.
 
 DensityTrajectory is the one trajectory type: the unheralded trajectories
 here, and the heralded and herald-averaged ones of the heralded module. It
@@ -262,7 +262,7 @@ def evolve_unconditional(
     _check_step(times)
     weight = _amplitude_weight(spectrum, amplitude_ref)
     kernel = _kernel(mol, spectrum.grid, times)
-    synthesize = kernel.plan.twin()
+    plan, work = kernel.plan, np.empty(kernel.plan.size, dtype=complex)
     rotation = kernel.rotation
     a, b = np.triu_indices(mol.size)
 
@@ -271,7 +271,7 @@ def evolve_unconditional(
     # exp(-i w_n m dt) of one pair a <= b, G_ab(-m) = exp(i (eps_a - eps_b) dt / 2) R_ab(m),
     # and G_ab(m) is the same with conj(R_ab(m)); np.square, as a float's ** raises on overflow
     step = kernel.step
-    lagged = _lag_sums(synthesize, np.square(times.spacing) * weight * step, step, a, b)
+    lagged = _lag_sums(plan, work, np.square(times.spacing) * weight * step, step, a, b)
     # terms[p, m] = exp(i eps_b m dt) R_ab(m) + exp(-i eps_a m dt) conj(R_ab(m)); R_ab(0) at m = 0
     terms = rotation[b] * lagged + (rotation[a] * lagged).conj()
     terms[:, 0] = lagged[:, 0].real
@@ -286,7 +286,7 @@ def evolve_unconditional(
         scaled = weight * first
         at_start = np.square(times.min) * (scaled @ first.T)[a, b, None] * half
         ordered = np.indices((mol.size, mol.size)).reshape(2, -1)
-        cross = _lag_sums(synthesize, times.min * times.spacing * scaled, kernel.delayed, *ordered)
+        cross = _lag_sums(plan, work, times.min * times.spacing * scaled, kernel.delayed, *ordered)
         cross = cross.reshape(mol.size, mol.size, times.count)
         increments *= half
         increments += rotation[a] * cross[b, a] + (rotation[b] * cross[a, b]).conj()
@@ -311,7 +311,7 @@ class _Kernel:
     dt) (P, T) and phase = exp(-i (eps_a - eps_b) t_k) (T, P); from t0 > 0 also the real
     first = sinc(theta t0 / 2) (L, N), half = exp(i (eps_a - eps_b) t0 / 2) (P, 1) and
     delayed = step exp(-i theta (t0 + dt) / 2) (L, N), else None. Every array is read-only,
-    and the plan keeps no work buffer: a call synthesizes through plan.twin().
+    the plan's too: a call synthesizes in a work buffer of its own.
     """
 
     plan: _ChirpZ
@@ -343,7 +343,6 @@ def _build_kernel(bits: bytes, grid_count: int, times_count: int) -> _Kernel:
     level_ang = angular_frequency(energies)
     theta = angular_frequency(grid.points)[None, :] - level_ang[:, None]
     plan = _ChirpZ(grid, times.spacing, times.count)
-    plan.work = None
     lags = times.spacing * np.arange(times.count)
     a, b = np.triu_indices(level_ang.size)
     splitting = level_ang[a] - level_ang[b]
@@ -363,20 +362,24 @@ def _build_kernel(bits: bytes, grid_count: int, times_count: int) -> _Kernel:
         half=half,
         delayed=delayed,
     )
-    tables = [plan.pre, plan.post, plan.kernel, *vars(kernel).values()]
-    for table in tables:
+    for table in vars(kernel).values():
         if isinstance(table, np.ndarray):
             table.flags.writeable = False
     return kernel
 
 
 def _lag_sums(
-    synthesize: _ChirpZ, left: np.ndarray, right: np.ndarray, a: np.ndarray, b: np.ndarray
+    plan: _ChirpZ,
+    work: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
 ) -> np.ndarray:
-    """synthesize(left[a[p]] * right[b[p]]) for every pair p of levels, shape (pairs, T)."""
-    sums = np.empty((a.size, synthesize.count), dtype=complex)
+    """plan(left[a[p]] * right[b[p]], work) for every pair p of levels, shape (pairs, T)."""
+    sums = np.empty((a.size, plan.count), dtype=complex)
     for pair, (first, second) in enumerate(zip(a, b)):
-        sums[pair] = synthesize(left[first] * right[second])
+        sums[pair] = plan(left[first] * right[second], work)
     return sums
 
 

@@ -20,12 +20,12 @@ B = ceil(sqrt(N)) and n = q B + r the phase factorizes exactly,
 exp(i w_n s) = exp(i (w_min + q B dw) s) exp(i r dw s), so a herald costs
 about 2 sqrt(N) exponentials (a coarse and a fine phase table), two
 broadcast multiplies of N values into one coefficient buffer kept by the
-source, and one transform pair. The field is within 1e-11 of its peak of
-the one taken with an exponential per frequency, and the phase within a
-factor 2 of its error against an extended-precision reference. A single
-herald and a herald average take their field from one source, which picks
-the method and the frequency grid and builds the tables, the buffer and the
-transform once.
+source, and one transform pair in a work buffer the source keeps too. The
+field is within 1e-11 of its peak of the one taken with an exponential per
+frequency, and the phase within a factor 2 of its error against an
+extended-precision reference. A single herald and a herald average take
+their field from one source, which picks the method and the frequency grid
+and builds the tables, the buffers and the transform once.
 
 Since the profile p_n is real, conj(F(t_{T-1-k})) is the field at t_k of
 the herald reflected through the window's centre, at
@@ -79,7 +79,7 @@ from .dynamics import (
     _hermitian,
     _level_phasors,
 )
-from .pdc import PdcParams
+from .pdc import PdcParams, squeeze_profile, vacuum_amplitude
 
 #: Default integration window for the exact field: this many sinc lobes on
 #: each side of the signal center (clipped at zero frequency), with at
@@ -168,9 +168,10 @@ def _field_source(
     """The field on times as a function of the herald time, for heralds in [first, last].
 
     The default exact grid resolves the largest herald-to-window distance.
-    The exact field keeps its profile zero-padded to a (rows, B) array and one
-    coefficient buffer of that shape; each herald writes the profile times
-    its two phase tables into the buffer and synthesizes from it.
+    The exact field keeps its profile zero-padded to a (rows, B) array, one
+    coefficient buffer of that shape and one transform work buffer; each
+    herald writes the profile times its two phase tables into the coefficient
+    buffer and synthesizes from it.
     """
     if method is FieldMethod.RECT_APPROX:
         points = times.points
@@ -186,12 +187,13 @@ def _field_source(
     coefficients = np.empty(profile.shape, dtype=complex)
     head = coefficients.reshape(-1)[: grid.count]
     synthesize = _ChirpZ(grid, times.spacing, times.count)
+    work = np.empty(synthesize.size, dtype=complex)
 
     def field_at(herald_time: float) -> np.ndarray:
         coarse, fine = phases(herald_time - times.min)
         np.multiply(profile, coarse[:, None], out=coefficients)
         np.multiply(coefficients, fine, out=coefficients)
-        return synthesize(head)
+        return synthesize(head, work)
 
     return field_at
 
@@ -222,28 +224,13 @@ def _rect_field(delay: np.ndarray, params: PdcParams) -> np.ndarray:
 
 
 def _field_profile(params: PdcParams, grid: FrequencyGrid) -> np.ndarray:
-    """Quadrature weights times the amplitude-weighted tanh of the squeeze profile.
-
-    That is weights * vacuum_amplitude(nu, signal_center) * tanh(squeeze_profile(nu, params)),
-    computed in place in the same order of operations, so it is bit-identical to that expression
-    with at most three float arrays of N alive.
-    """
+    """Quadrature weights times the amplitude-weighted tanh of the squeeze profile."""
     nu = grid.points
-    phase = np.subtract(nu, params.signal_center)
-    phase *= np.pi * C_CM_PER_FS
-    phase *= params.entanglement_time
-    squeeze = np.sin(phase)
-    np.divide(squeeze, phase, out=squeeze, where=phase != 0)
-    squeeze[phase == 0] = 1.0
-    del phase
-    squeeze *= params.gain
-    np.tanh(squeeze, out=squeeze)
-    np.divide(nu, params.signal_center, out=nu)
-    np.sqrt(nu, out=nu)
-    weights = trapezoid_weights(grid.count, grid.spacing)
-    weights *= nu
-    weights *= squeeze
-    return weights
+    return (
+        trapezoid_weights(grid.count, grid.spacing)
+        * vacuum_amplitude(nu, params.signal_center)
+        * np.tanh(squeeze_profile(nu, params))
+    )
 
 
 def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajectory:

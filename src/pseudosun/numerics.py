@@ -17,7 +17,6 @@ unconditional dynamics alike.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from math import frexp, inf, ldexp
 
@@ -148,15 +147,16 @@ class _ChirpZ:
     call is then one FFT and one inverse FFT: O((N + T) log(N + T)) time and
     O(N + T) memory. On a 2-core Xeon box a smooth size was as fast as the
     fastest of its smooth neighbours and up to 1.7x faster than the next
-    power of two. Both transforms write their result into one work buffer
-    kept across calls (so calls must not overlap): allocating and freeing
-    transform-sized arrays on every call made the allocator hand memory
-    back and fault it in again, and 512 calls at the figure sizes took
-    0.37 s instead of 0.27 s. numpy's FFT still allocates scratch of about
-    twice the transform size inside each transform, even with out= (seen
-    as page faults; tracemalloc does not count it). The heralded field and
-    the unconditional dynamics both synthesize their sums here; the
-    dynamics keep one plan across calls and give each call a twin of it.
+    power of two. A plan is read-only data, so threads may share it. Both
+    transforms write their result into a work buffer of size complex values
+    that the caller owns and may reuse across calls, whatever it holds:
+    allocating and freeing transform-sized arrays on every call made the
+    allocator hand memory back and fault it in again, and 512 calls at the
+    figure sizes took 0.37 s instead of 0.27 s. numpy's FFT still allocates
+    scratch of about twice the transform size inside each transform, even
+    with out= (seen as page faults; tracemalloc does not count it). The
+    heralded field and the unconditional dynamics both synthesize their
+    sums here.
     """
 
     def __init__(self, grid: FrequencyGrid, dtau: float, count: int):
@@ -173,22 +173,17 @@ class _ChirpZ:
         kernel[:count] = chirp[:count]
         kernel[self.size - grid.count + 1 :] = chirp[1 : grid.count][::-1]
         self.kernel = np.fft.fft(kernel)
-        self.work = np.empty(self.size, dtype=complex)
+        for table in (self.pre, self.post, self.kernel):
+            table.flags.writeable = False
 
-    def __call__(self, coefficients: np.ndarray) -> np.ndarray:
-        work, n = self.work, self.pre.size
+    def __call__(self, coefficients: np.ndarray, work: np.ndarray) -> np.ndarray:
+        n = self.pre.size
         np.multiply(coefficients, self.pre, out=work[:n])
         work[n:] = 0
         np.fft.fft(work, out=work)
         work *= self.kernel
         np.fft.ifft(work, out=work)
         return self.post * work[: self.count]
-
-    def twin(self) -> _ChirpZ:
-        """A synthesizer on this one's tables with a work buffer of its own."""
-        twin = copy.copy(self)
-        twin.work = np.empty(self.size, dtype=complex)
-        return twin
 
 
 def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:

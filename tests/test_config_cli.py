@@ -1290,3 +1290,23 @@ def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, error, detail):
     assert main(["spectrum", "--config", str(example_config("fig1")), "--out", str(out)]) == 5
     assert capsys.readouterr().err == f"out of memory: spectrum: {detail}\n"
     assert not out.exists()
+
+
+def test_parser_is_built_once_and_each_call_parses_its_own_arguments(tmp_path, monkeypatch):
+    seen = []
+    for command in ("spectrum", "dynamics"):
+        def runner(block, seed, command=command):
+            seen.append((command, block, seed))
+            return []
+
+        monkeypatch.setitem(cli._RUNNERS, command, runner)
+    cli._build_parser.cache_clear()
+    configs = {"spectrum": example_config("fig1"), "dynamics": example_config("fig2")}
+    assert main(["spectrum", "--config", str(configs["spectrum"]), "--seed", "7"]) == 0
+    assert main(["dynamics", "--config", str(configs["dynamics"]), "--out", str(tmp_path)]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert seen == [
+        ("spectrum", load_config(configs["spectrum"])["spectrum"], 7),
+        ("dynamics", load_config(configs["dynamics"])["dynamics"], None),
+    ]

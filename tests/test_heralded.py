@@ -496,9 +496,9 @@ class TestHeraldAveraging:
         calls = []
         synthesize = _ChirpZ.__call__
 
-        def counted(self, coefficients):
+        def counted(self, coefficients, work):
             calls.append(coefficients.shape)
-            return synthesize(self, coefficients)
+            return synthesize(self, coefficients, work)
 
         monkeypatch.setattr(_ChirpZ, "__call__", counted)
         times = ps.TimeGrid(0.0, 20.0, 201)

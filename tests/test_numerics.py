@@ -4,10 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pseudosun as ps
 from pseudosun import FrequencyGrid, TimeGrid, ValidationError, sinc
-from pseudosun.numerics import C_CM_PER_FS, _fft_length, angular_frequency, trapezoid_weights
+from pseudosun.dynamics import _build_kernel
+from pseudosun.numerics import (
+    C_CM_PER_FS,
+    _ChirpZ,
+    _fft_length,
+    angular_frequency,
+    trapezoid_weights,
+)
 
-from conftest import rng
+from conftest import AMP_REF, REF_PDC, TWO_LEVEL, rng
 
 
 class TestGrids:
@@ -168,6 +176,41 @@ def test_fft_length_is_smallest_5_smooth():
         assert not any(smooth(m) for m in range(n, length))
     # the herald_exact, fig2 and 5,000 fs exact-span transforms
     assert [_fft_length(n) for n in (6175, 10192, 205599)] == [6250, 10240, 207360]
+
+
+class TestChirpZ:
+    @pytest.mark.parametrize("bins, count", [(301, 41), (41, 301)], ids=["N>T", "N<T"])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_work_buffer_contents_do_not_change_the_bits(self, bins, count, kind):
+        plan = _ChirpZ(FrequencyGrid(11000.0, 13000.0, bins), 0.05, count)
+        noise = rng().standard_normal((2, bins))
+        coefficients = noise[0] if kind is float else noise[0] + 1j * noise[1]
+        zeroed = plan(coefficients, np.zeros(plan.size, dtype=complex))
+        filled = plan(coefficients, np.full(plan.size, complex(np.nan, np.nan)))
+        assert zeroed.shape == (count,) and np.all(np.isfinite(zeroed))
+        assert filled.tobytes() == zeroed.tobytes()
+
+    def test_every_plan_is_read_only_and_keeps_no_work_buffer(self, monkeypatch):
+        plans = []
+        build = _ChirpZ.__init__
+
+        def recorded(self, *args):
+            build(self, *args)
+            plans.append(self)
+
+        monkeypatch.setattr(_ChirpZ, "__init__", recorded)
+        times = TimeGrid(0.0, 20.0, 201)
+        ps.heralded_field(times, 10.0, REF_PDC, method=ps.FieldMethod.EXACT_QUADRATURE)
+        _build_kernel.cache_clear()
+        spectrum = ps.mean_photon_number(FrequencyGrid(11000.0, 13000.0, 301), REF_PDC)
+        ps.evolve_unconditional(TWO_LEVEL, spectrum, times, AMP_REF)
+        _build_kernel.cache_clear()
+        assert len(plans) == 2
+        for plan in plans:
+            assert not hasattr(plan, "work")
+            for table in (plan.pre, plan.post, plan.kernel):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[...] = 0
 
 
 def test_angular_frequency_convention():
