@@ -88,6 +88,7 @@ from .numerics import (
     FrequencyGrid,
     TimeGrid,
     _ChirpZ,
+    _check_positive,
     angular_frequency,
     sinc,
     trapezoid_weights,
@@ -112,10 +113,7 @@ class MolecularSystem:
         if not levels:
             raise ValidationError("MolecularSystem: at least one level is required")
         for energy, dipole in levels:
-            if not (energy > 0 and np.isfinite(energy)):
-                raise ValidationError(
-                    f"MolecularSystem: transition energies must be finite and > 0, got {energy}"
-                )
+            _check_positive("MolecularSystem: transition energies", energy)
             if not np.isfinite(dipole):
                 raise ValidationError(f"MolecularSystem: dipoles must be finite, got {dipole}")
         if not any(dipole for _, dipole in levels):
@@ -190,8 +188,7 @@ def _amplitude_weight(spectrum: PhotonSpectrum, amplitude_ref: float) -> np.ndar
     The reference frequency only sets an overall constant and cancels in any
     normalized output.
     """
-    if not amplitude_ref > 0:
-        raise ValidationError(f"amplitude_ref must be > 0, got {amplitude_ref}")
+    _check_positive("amplitude_ref", amplitude_ref)
     weights = trapezoid_weights(spectrum.grid.count, spectrum.grid.spacing)
     return weights * (spectrum.grid.points / amplitude_ref) * spectrum.values
 

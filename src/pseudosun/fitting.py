@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FieldError, FitDivergedError, ValidationError
-from .numerics import FrequencyGrid
+from .numerics import FrequencyGrid, _check_count
 from .pdc import PdcParams, PhotonSpectrum, squeeze_profile
 
 LOG_FLOOR = 1e-12
@@ -121,9 +121,11 @@ def fit_objective(params: PdcParams, problem: FitProblem) -> float:
 
 
 def _check_settings(max_iters: int, tol: float) -> None:
-    """The iteration limit must be a whole number >= 1 and the tolerance above 0."""
-    if int(max_iters) != max_iters or max_iters < 1:
-        raise FieldError(f"max_iters: must be >= 1, got {max_iters}")
+    """max_iters must pass _check_count with low 1 and tol be above 0; errors name the setting."""
+    try:
+        _check_count("max_iters", max_iters, 1)
+    except ValidationError:
+        raise FieldError(f"max_iters: must be >= 1, got {max_iters}") from None
     if not tol > 0:
         raise FieldError(f"tol: must be > 0, got {tol}")
 

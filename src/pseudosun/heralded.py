@@ -95,7 +95,7 @@ class FieldMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class HeraldedField:
-    """Complex effective-field samples on a time grid for one herald time."""
+    """Complex effective-field samples, each finite, on a time grid for one herald time."""
 
     times: TimeGrid
     amplitudes: np.ndarray
@@ -106,6 +106,8 @@ class HeraldedField:
             raise ValidationError(
                 f"HeraldedField: expected {self.times.count} amplitudes, got {amplitudes.shape}"
             )
+        if not np.all(np.isfinite(amplitudes)):
+            raise ValidationError("HeraldedField: amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amplitudes)
 
 

@@ -116,6 +116,12 @@ def _check_count(name: str, count, low: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {low} and below 2**60, got {shown}")
 
 
+def _check_positive(name: str, value) -> None:
+    """Reject a value that is not in (0, inf), nan included, naming it."""
+    if not 0 < value < inf:
+        raise ValidationError(f"{name} must be finite and > 0, got {value}")
+
+
 def trapezoid_weights(count: int, spacing: float) -> np.ndarray:
     """Composite trapezoid weights for a uniform grid (endpoints get spacing/2)."""
     w = np.full(count, spacing)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import C2_CM_K, C_CM_PER_FS, FrequencyGrid, sinc
+from .numerics import C2_CM_K, C_CM_PER_FS, FrequencyGrid, _check_count, _check_positive, sinc
 
 #: Upper bound on the gain; keeps tanh(r)^2 < 1 so the geometric law is
 #: normalizable. The sunlight-emulation regime sits far below it.
@@ -30,6 +30,8 @@ class PdcParams:
 
     pump_freq and signal_center in cm^-1, entanglement_time in fs, gain
     dimensionless. The idler center frequency is pump_freq - signal_center.
+    pump_freq and entanglement_time must be finite and > 0, signal_center
+    must lie in (0, pump_freq) and gain in (0, pi/2).
     """
 
     pump_freq: float
@@ -38,17 +40,13 @@ class PdcParams:
     gain: float
 
     def __post_init__(self):
-        if not self.pump_freq > 0:
-            raise ValidationError(f"PdcParams: pump_freq must be > 0, got {self.pump_freq}")
+        _check_positive("PdcParams: pump_freq", self.pump_freq)
         if not 0 < self.signal_center < self.pump_freq:
             raise ValidationError(
                 "PdcParams: signal_center must lie in (0, pump_freq), got "
                 f"{self.signal_center} vs pump {self.pump_freq}"
             )
-        if not self.entanglement_time > 0:
-            raise ValidationError(
-                f"PdcParams: entanglement_time must be > 0, got {self.entanglement_time}"
-            )
+        _check_positive("PdcParams: entanglement_time", self.entanglement_time)
         if not 0 < self.gain < MAX_GAIN:
             raise ValidationError(
                 f"PdcParams: gain must lie in (0, pi/2), got {self.gain}"
@@ -61,7 +59,10 @@ class PdcParams:
 
 @dataclass(frozen=True)
 class CrystalParams:
-    """Crystal length (mm) and group velocities (mm/fs) of pump, signal, idler."""
+    """Crystal length (mm) and group velocities (mm/fs) of pump, signal, idler.
+
+    Each of the four must be finite and > 0.
+    """
 
     length: float
     group_velocity_pump: float
@@ -75,22 +76,17 @@ class CrystalParams:
             "group_velocity_signal",
             "group_velocity_idler",
         ):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"CrystalParams: {name} must be > 0, got {value}")
+            _check_positive(f"CrystalParams: {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Black-body reference temperature in kelvin."""
+    """Black-body reference temperature in kelvin, finite and > 0."""
 
     temperature: float
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValidationError(
-                f"ThermalParams: temperature must be > 0, got {self.temperature}"
-            )
+        _check_positive("ThermalParams: temperature", self.temperature)
 
 
 @dataclass(frozen=True)
@@ -144,8 +140,7 @@ def photon_number_pmf(omega: float, params: PdcParams, n_max: int) -> np.ndarray
 
     The tail mass beyond n_max equals zeta^(n_max + 1).
     """
-    if int(n_max) != n_max or n_max < 0:
-        raise ValidationError(f"photon_number_pmf: n_max must be an integer >= 0, got {n_max}")
+    _check_count("photon_number_pmf: n_max", n_max, 0)
     zeta = float(squeeze_fraction(omega, params))
     return (1.0 - zeta) * zeta ** np.arange(int(n_max) + 1)
 
@@ -173,8 +168,7 @@ def vacuum_amplitude(omega, reference: float):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0):
         raise ValidationError("vacuum_amplitude: omega must be non-negative")
-    if not reference > 0:
-        raise ValidationError(f"vacuum_amplitude: reference must be > 0, got {reference}")
+    _check_positive("vacuum_amplitude: reference", reference)
     out = np.sqrt(omega / reference)
     if out.ndim == 0:
         return float(out)

@@ -146,6 +146,18 @@ class TestSpectrumCommand:
         config = write_config(tmp_path / "bad.json", payload)
         assert main(["spectrum", "--config", config, "--out", str(tmp_path)]) == 2
 
+    def test_negative_pump_is_bad_input(self, tmp_path, capsys):
+        payload = {
+            "spectrum": {"grid": GRID, "pdc": dict(SMALL_PDC, pump_freq=-1), "thermal": SOLAR}
+        }
+        config = write_config(tmp_path / "bad.json", payload)
+        out = tmp_path / "run"
+        assert main(["spectrum", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: spectrum.pdc: PdcParams: pump_freq must be finite and > 0, got -1.0\n"
+        )
+        assert not out.exists()
+
 
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -215,3 +216,87 @@ class TestChirpZ:
 
 def test_angular_frequency_convention():
     assert angular_frequency(1.0) == pytest.approx(2.0 * math.pi * C_CM_PER_FS, rel=1e-15)
+
+
+CRYSTAL = dict(
+    length=1.0,
+    group_velocity_pump=1.6e-4,
+    group_velocity_signal=1.9e-4,
+    group_velocity_idler=1.7e-4,
+)
+SMALL_SPECTRUM = ps.mean_photon_number(FrequencyGrid(1000.0, 25000.0, 16), REF_PDC)
+FIT_WINDOW = FrequencyGrid(14000.0, 22000.0, 11)
+SMALL_PROBLEM = ps.FitProblem(
+    window=FIT_WINDOW,
+    target=ps.mean_photon_number(FIT_WINDOW, REF_PDC),
+    free_params=("gain",),
+    initial=REF_PDC,
+    bounds={"gain": (0.01, 0.5)},
+)
+NOT_POSITIVE = (0.0, -1.0, math.inf, math.nan)
+NOT_A_COUNT = (-1, math.inf, math.nan, 2.5, 2**60)
+POSITIVE = " must be finite and > 0, got "
+
+#: Every library parameter that _check_positive or _check_count guards: the call with a
+#: value in its place, the start of the message, which names the parameter, and values
+#: the rule must reject.
+CHECKED_PARAMETERS = {
+    "pump_freq": (
+        lambda v: ps.PdcParams(v, 12000.0, 2.5, 0.15),
+        "PdcParams: pump_freq" + POSITIVE,
+        NOT_POSITIVE,
+    ),
+    "entanglement_time": (
+        lambda v: ps.PdcParams(25000.0, 12000.0, v, 0.15),
+        "PdcParams: entanglement_time" + POSITIVE,
+        NOT_POSITIVE,
+    ),
+    **{
+        name: (
+            lambda v, name=name: ps.CrystalParams(**dict(CRYSTAL, **{name: v})),
+            f"CrystalParams: {name}" + POSITIVE,
+            NOT_POSITIVE,
+        )
+        for name in CRYSTAL
+    },
+    "temperature": (ps.ThermalParams, "ThermalParams: temperature" + POSITIVE, NOT_POSITIVE),
+    "energy": (
+        lambda v: ps.MolecularSystem(((v, 1.0),)),
+        "MolecularSystem: transition energies" + POSITIVE,
+        NOT_POSITIVE,
+    ),
+    "amplitude_ref": (
+        lambda v: ps.evolve_unconditional(
+            TWO_LEVEL, SMALL_SPECTRUM, TimeGrid(0.0, 10.0, 11), amplitude_ref=v
+        ),
+        "amplitude_ref" + POSITIVE,
+        NOT_POSITIVE,
+    ),
+    "reference": (
+        lambda v: ps.vacuum_amplitude(12000.0, v),
+        "vacuum_amplitude: reference" + POSITIVE,
+        NOT_POSITIVE,
+    ),
+    "n_max": (
+        lambda v: ps.photon_number_pmf(12000.0, REF_PDC, v),
+        "photon_number_pmf: n_max must be an integer >= 0 and below 2**60, got ",
+        NOT_A_COUNT,
+    ),
+    "max_iters": (
+        lambda v: ps.fit_pdc_to_thermal(SMALL_PROBLEM, max_iters=v),
+        "max_iters: must be >= 1, got ",
+        (0, *NOT_A_COUNT),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name, (_, _, bad) in CHECKED_PARAMETERS.items() for value in bad],
+)
+def test_every_positive_parameter_and_count_rejects_what_its_rule_excludes(name, value):
+    # Infinity and nan included: inf passes a bare `x > 0` test, and either one
+    # makes int() raise OverflowError or ValueError instead of ValidationError.
+    call, message, _ = CHECKED_PARAMETERS[name]
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        call(value)

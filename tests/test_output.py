@@ -133,6 +133,20 @@ def test_sweep_of_hard_values_is_written_as_percent_17g(tmp_path):
     assert _decimal(ulps_around(powers[:10], 8))[2].size == 10 * 17
 
 
+def test_million_random_bit_patterns_are_written_as_percent_17g(tmp_path):
+    # write_csv formats rows by numpy arithmetic whose double-double products need every
+    # float64 ufunc to round on its own, as numpy's do (no fused multiply-add), so under each
+    # numpy the suite runs with, a million random bit patterns must give '%.17g' of each value.
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 10**6, dtype=np.uint64)
+    rows = bits.view(np.float64).reshape(-1, 8)
+    path = tmp_path / "bits.csv"
+    write_csv(path, [], ["c%d" % k for k in range(8)], rows)
+    got = path.read_text().splitlines()[1:]
+    want = [",".join("%.17g" % v for v in row) for row in rows.tolist()]
+    bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(got) == len(want) and not bad, f"rows differ from '%.17g': {bad[:5]}"
+
+
 def test_powers_of_ten_get_one_digit_and_their_exponent():
     # log10 may miss an exact power of ten by one; the digits must carry back to 10**16.
     digits, e, fallback = _decimal(10.0 ** np.arange(23))
