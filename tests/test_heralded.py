@@ -219,8 +219,8 @@ class TestAssembly:
     @pytest.mark.parametrize("heralds", [[50.0], list(np.linspace(-2.5, 102.5, 9))],
                              ids=["single", "average"])
     def test_matches_per_field_builder_bit_for_bit(self, mol, heralds):
-        # The builder writes each field into arrays made once per call; in the
-        # order of the reference's arithmetic, it gives the same bits.
+        # The builder does the reference's arithmetic in the reference's order,
+        # so it gives the same bits.
         # A step of 0.05 fs: the half step is no power of two, so scaling by it rounds.
         times = TIMES_100
         field_at = _field_source(times, REF_PDC, None, EXACT, heralds[0], heralds[-1])
@@ -500,6 +500,23 @@ class TestHeraldAveraging:
             peak = np.max(np.abs(want.amplitudes))
             assert np.max(np.abs(seen[2 * j + 1] - want.amplitudes)) <= tolerance * peak
 
+    @pytest.mark.parametrize("samples", [8, 9])
+    def test_fields_can_be_kept_without_copying(self, samples, monkeypatch):
+        # Each field the builder gets is an array of its own, mirrors included, so
+        # a consumer may keep them all as they come.
+        seen = []
+
+        def spy(mol, times, fields):
+            return _assemble(mol, times, (seen.append(f) or f for f in fields))
+
+        monkeypatch.setattr(ps.heralded, "_assemble", spy)
+        ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, ps.TimeGrid(0.0, 20.0, 201), samples)
+        assert len(seen) == samples
+        for j in range(samples // 2):
+            assert np.array_equal(seen[2 * j + 1], np.conj(seen[2 * j][::-1])), j
+        for i, field in enumerate(seen):
+            assert not any(np.may_share_memory(field, other) for other in seen[i + 1 :]), i
+
     @pytest.mark.parametrize("sampling, samples, transforms",
                              [("uniform", 1, 1), ("uniform", 8, 4), ("uniform", 9, 5),
                               ("random", 8, 8), ("random", 9, 9)])
@@ -548,11 +565,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
     def test_first_average_page_faults_bounded(self):
         # The CLI makes one average per process, so the first call, at glibc's
-        # default self-adjusting thresholds, is the one a run pays for. With N-
-        # and (L, T)-sized temporaries made per herald it faulted 35,145-35,403
-        # times (12,762 from the second call on under -X dev); with the
-        # builder's arrays and the coefficient buffer made once per call it
-        # faulted 183-193 times, from two working directories and under -X dev.
+        # default self-adjusting thresholds, is the one a run pays for. With the
+        # source's coefficient and work buffers kept across heralds and every
+        # other array made per field it faulted 172-177 times, also under -X dev
+        # (182-184 with the builder's arrays and the mirror kept too). A work
+        # buffer made per herald faulted 14,677 times in every later average.
         code = f"""
 import resource
 import pseudosun as ps

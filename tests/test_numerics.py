@@ -284,8 +284,13 @@ CHECKED_PARAMETERS = {
     ),
     "max_iters": (
         lambda v: ps.fit_pdc_to_thermal(SMALL_PROBLEM, max_iters=v),
-        "max_iters: must be >= 1, got ",
+        "max_iters: must be an integer >= 1 and below 2**60, got ",
         (0, *NOT_A_COUNT),
+    ),
+    "tol": (
+        lambda v: ps.fit_pdc_to_thermal(SMALL_PROBLEM, tol=v),
+        "tol: must be finite and > 0, got ",
+        NOT_POSITIVE,
     ),
 }
 
