@@ -339,7 +339,7 @@ def _build_kernel(bits: bytes, grid_count: int, times_count: int) -> _Kernel:
     times = TimeGrid(times_min, times_max, times_count)
     level_ang = angular_frequency(energies)
     theta = angular_frequency(grid.points)[None, :] - level_ang[:, None]
-    plan = _ChirpZ(grid, times.spacing, times.count)
+    plan = _ChirpZ.on(grid, times.spacing, times.count)
     lags = times.spacing * np.arange(times.count)
     a, b = np.triu_indices(level_ang.size)
     splitting = level_ang[a] - level_ang[b]

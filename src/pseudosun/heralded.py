@@ -23,32 +23,79 @@ broadcast multiplies of N values into a coefficient buffer and one
 transform pair in a work buffer. The field is within 1e-11 of its peak of
 the one taken with an exponential per frequency, and the phase within a
 factor 2 of its error against an extended-precision reference. A single
-herald and a herald average take their field from one source, which picks
-the method and the frequency grid and builds the tables, the transform and
-those two buffers once; they are the only arrays kept across heralds (see
-_field_source), and every field it returns is a new array.
+herald and every average that the comb below does not take take their
+fields from one source, which picks the method and the frequency grid and
+builds the tables, the transform and those two buffers once; they are the
+only arrays kept across heralds (see _field_source), and every field it
+returns is a new array.
+
+A heralded response is integrated from the first time of its grid, t_0 =
+times.min, where it is 0: the light before t_0 is dropped. The unheralded
+trajectories integrate from the switch-on at t = 0, so the two pipelines
+describe the same experiment only when t_0 = 0.
+
+A uniform average of exact fields over J >= 3 heralds is taken over the
+herald comb s_j = lo + j ds in closed form, with no field per herald. The
+trapezoid sum of exp(i theta t) over t_0..t_k, theta = eps_a - w_n, is
+kappa (exp(i theta t_k) - exp(i theta t_0)) with kappa = -i (dt/2)
+cot(theta dt/2). So with u_a,n = p_n kappa_a,n and g_a(tau) = sum_n u_a,n
+exp(-i w_n tau), herald j's response of level a is mu_a [g_a(t_k - s_j) -
+E_a(k) beta_a^j], with E_a(k) = exp(-i eps_a (t_k - t_0)) and beta_a^j =
+g_a(t_0 - s_j). The mean of its products needs only
+
+- the comb's Dirichlet kernel D_d = mean_j exp(i d dw s_j), one chirp-z
+  transform over the comb;
+- mean_j g_a conj(g_b) = sum_d D_d Q_ab(d) exp(-i d dw t_k), with the
+  correlation Q_ab(d) = sum_n u_a,n conj(u_b,n-d) from FFTs: two transforms
+  over the lags d >= 0 per pair a < b, one per level;
+- beta and v_b,n = mean_j exp(i w_n s_j) conj(beta_b^j), one transform from
+  the frequencies to the comb and one back per level;
+- mean_j conj(beta_b) g_a(t_k - s_j) = sum_n u_a,n v_b,n exp(-i w_n t_k),
+  one transform per ordered level pair, and mean_j beta_a conj(beta_b).
+
+kappa diverges at bins whose theta lies within dw/2 of a multiple of 2 pi/dt
+(resonant, or aliased by the time step). u leaves those bins out, and each
+one's response is its explicit cumulative trapezoid; its products with the
+far bins take one transform per level (of u_a,n D_(n - m)) and its
+products with the other resonant bins are summed directly. Row t_0 is
+exactly 0, as an empty trapezoid gives. For two levels and two resonant
+bins that is 17 transforms whatever J. At T = 2,001, N = 4,175 and 512
+heralds on 0-100 fs it takes about 6 ms, against about 80 ms for a
+transform and a trapezoid per herald pair, and it is 2.7e-14 of its
+largest entry off that loop. A time step that does not resolve the grid's
+band aliases a bin onto each level every 1/(c dt) cm^-1, each one more
+transform per level: the comb runs only while those transforms are at most
+the loop's, one per mirrored pair of heralds (10 fs steps on 0-100 fs
+leave 408 resonant bins on the default grid), and the loop below serves
+the rest. The comb's terms are each as large as
+|g|^2, the response to the grid field's periodic pulse train, and cancel
+to the average. Two heralds sit a pad outside each end of the window, so
+their average is about 1e-5 of those terms, and the comb was 7e-11 off the
+loop there: two heralds always take the loop.
 
 Since the profile p_n is real, conj(F(t_{T-1-k})) is the field at t_k of
 the herald reflected through the window's centre, at
-t_h' = 2 t_0 + (T - 1) dt - t_h. A uniform herald average places its
-heralds symmetrically about that centre, so one transform serves herald j
-and its mirror J-1-j: ceil(J/2) transforms for J heralds. The mirror
-herald sits at the reflected time, within 1.4e-14 fs of linspace's, and
-its field is within 6.6e-12 of its peak of the one computed there directly
-(512 heralds on 0-100 fs). The average is exactly the mean of the
-single-herald trajectories of those fields. Random herald times have no
-mirrors and take one transform each.
+t_h' = 2 t_0 + (T - 1) dt - t_h; the rect field is even in the delay up to
+its carrier's conjugation, so the same holds for it. A uniform average that
+takes the loop places its heralds symmetrically about that centre, so one
+field serves herald j and its mirror J-1-j: ceil(J/2) transforms for J
+exact heralds. The mirror herald sits at the reflected time, within
+1.4e-14 fs of linspace's, and its field is within 6.6e-12 of its peak of
+the one computed there directly (512 exact heralds on 0-100 fs). Such an
+average is exactly the mean of the single-herald trajectories of those
+fields. Random herald times have no mirrors and take one transform each.
 
 Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
 exactly rank one. It is returned as a plain dynamics.DensityTrajectory, like
 the herald average and the unheralded trajectory, so the rank-one defect is
 read the same way on all three. One builder serves a single herald and a
-herald average: it sums the upper-triangle products of each field's
+sampled average: it sums the upper-triangle products of each field's
 amplitudes into one total, divides by the field count and makes the result
-exactly Hermitian, as the unheralded trajectories are. The long-time closed
-form, the impulsive (zero-duration) limit, herald-time averaging, and the
-two-photon coincidence observable live here as well.
+exactly Hermitian, as the unheralded trajectories are; the comb makes its
+result Hermitian the same way. The long-time closed form, the impulsive
+(zero-duration) limit, herald-time averaging, and the two-photon coincidence
+observable live here as well.
 """
 
 from __future__ import annotations
@@ -67,6 +114,8 @@ from .numerics import (
     TimeGrid,
     _ChirpZ,
     _check_count,
+    _fft_length,
+    _phasor,
     angular_frequency,
     sinc,
     trapezoid_weights,
@@ -173,10 +222,11 @@ def _field_source(
     coefficient buffer of that shape and one transform work buffer; each
     herald writes the profile times its two phase tables into the coefficient
     buffer and synthesizes from it into a new array. With the work buffer
-    made per herald instead, every 512-herald average on 0-100 fs after a
-    process's first faulted 14,677 times, against 173 with it kept (numpy
-    2.4.6, glibc 2.36), as the allocator handed each freed buffer back and
-    faulted it in again. The coefficient buffer, the other N-sized array of
+    made per herald instead, every 512-herald uniform average on 0-100 fs
+    after a process's first faulted 10,629-14,677 times, against 173 with it
+    kept (numpy 2.4.6, glibc 2.36, measured when those averages still took
+    the loop), as the allocator handed each freed buffer back and faulted it
+    in again. The coefficient buffer, the other N-sized array of
     a herald, is kept alike, although made per herald it faulted 168-193
     times there.
     """
@@ -193,7 +243,7 @@ def _field_source(
     profile.reshape(-1)[: grid.count] = _field_profile(params, grid)
     coefficients = np.empty(profile.shape, dtype=complex)
     head = coefficients.reshape(-1)[: grid.count]
-    synthesize = _ChirpZ(grid, times.spacing, times.count)
+    synthesize = _ChirpZ.on(grid, times.spacing, times.count)
     work = np.empty(synthesize.size, dtype=complex)
 
     def field_at(herald_time: float) -> np.ndarray:
@@ -355,24 +405,38 @@ def average_over_heralds(
     """Equal-weight average of heralded trajectories over sampled herald times.
 
     Herald times cover the trajectory window padded by at least the
-    entanglement time on both sides: a deterministic uniform grid by default,
-    or uniform random draws when sampling="random" (seeded). The uniform grid
-    is symmetric about the window's centre, so herald j's field gives herald
-    J-1-j's too, as its time-reversed conjugate (see the module docstring):
-    the fields go herald 0, its mirror, herald 1, its mirror, ..., and the
-    middle herald of an odd count last. The accumulation order is fixed, so
-    results are reproducible. With many samples the average converges to the
-    unheralded trajectory. The fields go one at a time through the builder
-    evolve_heralded uses, so the average is bit for bit the mean of the
-    single-herald trajectories of those fields; each is a new array, and
-    only the source's coefficient and transform buffers are kept across
-    heralds.
+    entanglement time on both sides: a deterministic uniform grid
+    (np.linspace) by default, or uniform random draws when sampling="random"
+    (seeded). Each response integrates from times.min (see the module
+    docstring), so only from times.min = 0 does the average approach the
+    unheralded trajectory as the heralds grow many. With 192 exact heralds
+    and both scaled to their largest population, the populations differ
+    from evolve_unconditional's by at most 1.4e-3 on 0-60 fs and 0.25 on
+    20-80 fs.
+
+    - Exact fields at J >= 3 uniform heralds, while 2 L times the resonant
+      bins is at most J: the mean over the herald comb in closed form (see
+      the module docstring), a number of transforms that does not grow with
+      J, within 1e-13 of the mean of the single-herald trajectories at the
+      same times.
+    - Otherwise the fields go one at a time, in a fixed order, through the
+      builder evolve_heralded uses, so the average is bit for bit the mean of
+      the single-herald trajectories of those fields. A uniform average takes
+      herald j, its mirror in place of herald J-1-j, and the middle herald of
+      an odd count last. Each field is a new array, and only the source's
+      coefficient and transform buffers are kept across heralds.
     """
     _check_times(times, "average_over_heralds")
     try:
         lo, hi = herald_window(params, times, herald_samples, pad, sampling)
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
+    if method is FieldMethod.EXACT_QUADRATURE and sampling == "uniform" and herald_samples > 2:
+        if grid is None:
+            grid = default_field_grid(params, time_span=field_span(times, lo, hi))
+        resonant = _resonant_bins(mol, grid, times)
+        if 2 * mol.size * np.count_nonzero(resonant) <= herald_samples:
+            return _comb_average(mol, params, grid, times, lo, hi, int(herald_samples), resonant)
     field_at = _field_source(times, params, grid, method, lo, hi)
     if sampling == "random":
         rng = np.random.default_rng(seed)
@@ -382,6 +446,156 @@ def average_over_heralds(
     else:
         fields = _mirrored(field_at, np.linspace(lo, hi, int(herald_samples)))
     return _assemble(mol, times, fields)
+
+
+def _resonant_bins(mol: MolecularSystem, grid: FrequencyGrid, times: TimeGrid) -> np.ndarray:
+    """(L, N) mask of the bins whose theta = eps_a - w_n lies within dw/2 of a multiple of 2 pi/dt.
+
+    At those bins the comb's cot(theta dt/2) diverges: the level itself, and its aliases
+    every 1/(c dt) cm^-1 that the time step folds onto it.
+    """
+    theta = angular_frequency(mol.energies)[:, None] - angular_frequency(grid.points)
+    half = 0.5 * times.spacing * theta
+    reach = 0.25 * times.spacing * angular_frequency(grid.spacing)
+    return np.abs(half - np.pi * np.round(half / np.pi)) <= reach
+
+
+def _comb_average(
+    mol: MolecularSystem,
+    params: PdcParams,
+    grid: FrequencyGrid,
+    times: TimeGrid,
+    lo: float,
+    hi: float,
+    samples: int,
+    resonant: np.ndarray,
+) -> DensityTrajectory:
+    """The exact-field average over the herald comb s_j = lo + j ds, j < samples, in closed form.
+
+    The terms are the module docstring's. Each stage frees its plans and tables, every
+    coefficient array is formed in the one work buffer, and the sums go straight into
+    the result.
+    """
+    levels, bins, count = mol.size, grid.count, times.count
+    dt, t0 = times.spacing, times.min
+    ds = (hi - lo) / (samples - 1)
+    turns = C_CM_PER_FS * grid.spacing  # dw in turns per fs
+    energy = angular_frequency(mol.energies)
+    profile = _field_profile(params, grid)
+    theta = energy[:, None] - angular_frequency(grid.points)
+    start = _phasor(-turns * t0, np.arange(bins, dtype=float))  # exp(-i n dw t0)
+    level_of, bin_of = np.nonzero(resonant)
+    angle, weight = theta[level_of, bin_of], profile[bin_of] * start[bin_of]
+    # u_a,n exp(-i n dw t0) on the far bins, 0 on the resonant ones
+    u = np.divide(
+        (-0.5j * dt) * profile * start,
+        np.tan(0.5 * dt * theta),
+        out=np.zeros(theta.shape, dtype=complex),
+        where=~resonant,
+    )
+    del profile, theta, start
+    lead = np.exp(-1j * angular_frequency(grid.min) * t0)  # exp(-i w_min t0)
+    at_lo = np.outer(*_phase_tables(grid)(lo)).reshape(-1)[:bins]  # exp(i w_n lo)
+
+    comb = _ChirpZ(-turns * ds, samples, bins)  # sum_j c_j exp(i n dw j ds)
+    heralds = _ChirpZ(-turns * ds, bins, samples, -C_CM_PER_FS * grid.min * ds)
+    correlation = _fft_length(2 * bins - 1)
+    work = np.empty(
+        max(comb.size, heralds.size, _fft_length(bins + count - 1), correlation), dtype=complex
+    )
+
+    def transform(plan: _ChirpZ, left, right) -> np.ndarray:
+        """plan(left * right), the product formed in the work buffer."""
+        return plan(np.multiply(left, right, out=work[: plan.pre.size]), work[: plan.size])
+
+    # D_d = mean_j exp(i d dw s_j) for 0 <= d < N, D_-d = conj(D_d); beta_a^j = g_a(t0 - s_j)
+    # and v_b,n = mean_j exp(i w_n s_j) conj(beta_b^j)
+    dirichlet = transform(comb, 1.0, 1.0)
+    dirichlet *= _phasor(turns * lo, np.arange(bins, dtype=float)) / samples
+    beta = lead * np.stack([transform(heralds, u_a, at_lo) for u_a in u])
+    del heralds
+    shift = _phasor(C_CM_PER_FS * grid.min * ds, np.arange(samples, dtype=float))
+    v = np.stack([transform(comb, b.conj(), shift) for b in beta])
+    v *= at_lo / samples
+    cross = beta @ beta.conj().T / samples
+    del comb, at_lo, beta, shift
+
+    plan = _ChirpZ(turns * dt, bins, count)  # sum_n c_n exp(-i n dw k dt)
+    rotation = np.exp(-1j * np.outer(energy, dt * np.arange(count)))  # E_a(t_k)
+    carrier = np.exp(-1j * angular_frequency(grid.min) * times.points)  # exp(-i w_min t_k)
+    pairs = list(zip(*np.triu_indices(levels)))
+    total = np.empty((count, levels, levels), dtype=complex)
+    # E_a conj(E_b) mean_j beta_a conj(beta_b), less conj(E_b) mean_j conj(beta_b) g_a(t_k - s_j)
+    # and its conjugate with a and b swapped
+    for a, b in pairs:
+        term = total[:, a, b]
+        np.multiply(rotation[a], rotation[b].conj(), out=term)
+        term *= cross[a, b]
+        swept = transform(plan, u[a], v[b])
+        swept *= carrier * rotation[b].conj()
+        term -= swept
+        if a != b:
+            swept = transform(plan, u[b], v[a])
+            swept *= carrier * rotation[a].conj()
+        term -= swept.conj()
+    projected = v[:, bin_of].conj()
+    del v, swept
+
+    # plus mean_j g_a conj(g_b) = sum_d D_d Q_ab(d) exp(-i d dw t_k): Q_ab(d) = sum_n
+    # u_a,n conj(u_b,n-d) from one correlation, and Q_ab(-d) = conj(Q_ba(d))
+    for a, b in pairs:
+        spectrum = np.fft.fft(u[a], correlation, out=work[:correlation])
+        if a == b:
+            np.multiply(spectrum, spectrum.conj(), out=spectrum)
+        else:
+            other = np.fft.fft(u[b], correlation)
+            spectrum *= np.conjugate(other, out=other)
+            del other
+        np.fft.ifft(spectrum, out=spectrum)
+        if a == b:
+            at_zero = (dirichlet[0] * spectrum[0]).real
+            total[:, a, a] += 2 * transform(plan, dirichlet, spectrum[:bins]).real - at_zero
+        else:
+            behind = np.zeros(bins, dtype=complex)
+            np.conjugate(spectrum[: -bins : -1], out=behind[1:])
+            behind *= dirichlet
+            total[:, a, b] += transform(plan, dirichlet, spectrum[:bins])
+            total[:, a, b] += transform(plan, behind, 1.0).conj()
+            del behind
+    del spectrum
+
+    # A resonant bin r = (c, m) responds as G_r(t_k) = exp(-i eps_c t_k) p_m C(t_k), with C the
+    # cumulative trapezoid of exp(i theta t) from t0; X_a,r(t_k) = mean_j exp(-i w_m s_j)
+    # times level a's far response to herald j, and mean_j exp(i (w_m - w_m') s_j) = D_(m - m')
+    responses = np.zeros((angle.size, count), dtype=complex)
+    resonances = zip(level_of, bin_of, angle, weight, responses, projected.T)
+    for c, m, theta_r, weight_r, response, conj_v in resonances:
+        steps = np.exp(1j * theta_r * dt * np.arange(count))
+        steps = steps[1:] + steps[:-1]
+        steps *= 0.5 * dt
+        np.cumsum(steps, out=response[1:])
+        response *= (weight_r * lead) * rotation[c]
+        shifted = np.empty(bins, dtype=complex)  # D_(n - m)
+        np.conjugate(dirichlet[m:0:-1], out=shifted[:m])
+        shifted[m:] = dirichlet[: bins - m]
+        for a, u_a in enumerate(u):
+            term = transform(plan, u_a, shifted)  # X_a,r, then times conj(G_r)
+            term *= carrier
+            term -= rotation[a] * conj_v[a]
+            term *= response.conj()
+            if a <= c:
+                total[:, a, c] += term
+            if a >= c:
+                total[:, c, a] += term.conj()
+        del steps, shifted, term
+    for a, b in pairs:
+        rows, cols = level_of == a, level_of == b
+        lag = bin_of[rows, None] - bin_of[None, cols]
+        kernel = np.where(lag >= 0, dirichlet[np.abs(lag)], dirichlet[np.abs(lag)].conj())
+        total[:, a, b] += np.sum((kernel.T @ responses[rows]) * responses[cols].conj(), axis=0)
+    total *= np.outer(mol.dipoles, mol.dipoles)
+    total[0] = 0.0
+    return DensityTrajectory(times, _hermitian(total))
 
 
 def _mirrored(

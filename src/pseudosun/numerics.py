@@ -144,43 +144,51 @@ def _fft_length(n: int) -> int:
 
 
 class _ChirpZ:
-    """Fourier-sum synthesizer F_k = sum_n c_n exp(-i w_n k dtau), k < count.
+    """Fourier-sum synthesizer F_k = sum_m c_m exp(-2 pi i (offset + step m) k), k < outputs.
 
-    w_n runs over the uniform grid, so with nk = (n^2 + k^2 - (k - n)^2) / 2
-    the sum is a convolution with the chirp exp(i dw dtau m^2 / 2)
-    (Bluestein's chirp-z transform). The chirps and the FFT of the kernel
-    are built once, at the smallest 2-3-5-smooth size >= N + count - 1; each
-    call is then one FFT and one inverse FFT: O((N + T) log(N + T)) time and
-    O(N + T) memory. On a 2-core Xeon box a smooth size was as fast as the
-    fastest of its smooth neighbours and up to 1.7x faster than the next
-    power of two. A plan is read-only data, so threads may share it. Both
-    transforms write their result into a work buffer of size complex values
-    that the caller owns and may reuse across calls, whatever it holds:
+    m runs over the inputs, and step and offset are in turns. A sum over a
+    uniform frequency grid at the points of a uniform time grid, sum_n c_n
+    exp(-i w_n k dtau), takes step = c dnu dtau and offset = c nu_min dtau
+    (c = C_CM_PER_FS, see on), and the herald average's sums over the herald
+    comb take their own steps, so one plan class serves both. With mk =
+    (m^2 + k^2 - (k - m)^2) / 2 the sum is a convolution with the chirp
+    exp(i pi step m^2) (Bluestein's chirp-z transform). The chirps and the FFT
+    of the kernel are built once, at the smallest 2-3-5-smooth size >= inputs +
+    outputs - 1; each call is then one FFT and one inverse FFT: O((N + T)
+    log(N + T)) time and O(N + T) memory. On a 2-core Xeon box a smooth size
+    was as fast as the fastest of its smooth neighbours and up to 1.7x faster
+    than the next power of two. A plan is read-only data, so threads may share
+    it. Both transforms write their result into a work buffer of size complex
+    values that the caller owns and may reuse across calls, whatever it holds:
     allocating and freeing transform-sized arrays on every call made the
     allocator hand memory back and fault it in again, and 512 calls at the
     figure sizes took 0.37 s instead of 0.27 s. numpy's FFT still allocates
     scratch of about twice the transform size inside each transform, even
     with out= (seen as page faults; tracemalloc does not count it). The
-    heralded field and the unconditional dynamics both synthesize their
-    sums here.
+    heralded field, the herald average and the unconditional dynamics all
+    synthesize their sums here.
     """
 
-    def __init__(self, grid: FrequencyGrid, dtau: float, count: int):
-        k = np.arange(count, dtype=float)
-        m = np.arange(grid.count, dtype=float) if grid.count >= count else k
-        step = C_CM_PER_FS * grid.spacing
-        offset = C_CM_PER_FS * grid.min
-        chirp = _phasor(0.5 * step * dtau, m * m)
-        self.size = _fft_length(grid.count + count - 1)
-        self.count = count
-        self.pre = chirp[: grid.count].conj()
-        self.post = _phasor(-offset * dtau, k) * chirp[:count].conj()
+    def __init__(self, step: float, inputs: int, outputs: int, offset: float = 0.0):
+        k = np.arange(outputs, dtype=float)
+        m = np.arange(inputs, dtype=float) if inputs >= outputs else k
+        chirp = _phasor(0.5 * step, m * m)
+        self.size = _fft_length(inputs + outputs - 1)
+        self.count = outputs
+        self.pre = chirp[:inputs].conj()
+        self.post = _phasor(-offset, k) * chirp[:outputs].conj()
         kernel = np.zeros(self.size, dtype=complex)
-        kernel[:count] = chirp[:count]
-        kernel[self.size - grid.count + 1 :] = chirp[1 : grid.count][::-1]
+        kernel[:outputs] = chirp[:outputs]
+        kernel[self.size - inputs + 1 :] = chirp[1:inputs][::-1]
         self.kernel = np.fft.fft(kernel)
         for table in (self.pre, self.post, self.kernel):
             table.flags.writeable = False
+
+    @classmethod
+    def on(cls, grid: FrequencyGrid, dtau: float, count: int) -> _ChirpZ:
+        """The plan of sum_n c_n exp(-i w_n k dtau) over grid's frequencies, k < count."""
+        offset = C_CM_PER_FS * grid.min * dtau
+        return cls(C_CM_PER_FS * grid.spacing * dtau, grid.count, count, offset)
 
     def __call__(self, coefficients: np.ndarray, work: np.ndarray) -> np.ndarray:
         n = self.pre.size

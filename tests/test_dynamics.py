@@ -428,6 +428,21 @@ def test_unconditional_trajectory_is_exactly_hermitian(request, source):
     assert_exactly_hermitian(traj)
 
 
+@pytest.mark.parametrize("light", ["pdc", "blackbody"])
+@pytest.mark.parametrize("start, count", [(10.0, 601), (3.0, 741)], ids=["start10", "start3"])
+def test_late_start_is_the_tail_of_the_trajectory_from_zero(light, start, count):
+    # Both integrate from the switch-on at t = 0, so a trajectory on a grid from t0 is
+    # the tail of the one from 0 on the same steps (fig2's grid, 0.05 fs steps to 40 fs).
+    # Measured at most 1.1e-15 of the tail's largest entry (5777 K from 3 fs), and the
+    # grids' times differ by up to 7e-15 fs; the bound keeps 9x headroom.
+    spectrum = (ps.mean_photon_number(DYN_GRID, REF_PDC) if light == "pdc"
+                else ps.thermal_mean(DYN_GRID, SOLAR))
+    full = ps.evolve_unconditional(TWO_LEVEL, spectrum, ps.TimeGrid(0.0, 40.0, 801), AMP_REF)
+    late = ps.evolve_unconditional(TWO_LEVEL, spectrum, ps.TimeGrid(start, 40.0, count), AMP_REF)
+    tail = full.matrices[801 - count :]
+    assert np.max(np.abs(late.matrices - tail)) <= 1e-14 * np.max(np.abs(tail))
+
+
 @pytest.mark.parametrize("method", list(ps.FieldMethod), ids=lambda method: method.value)
 @pytest.mark.parametrize(
     "heralds, start", [(1, 0.0), (9, 0.0), (9, 7.5)], ids=["single", "average", "average7.5"]

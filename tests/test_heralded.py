@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 import pseudosun as ps
 from pseudosun.errors import FieldError
-from pseudosun.heralded import _assemble, _field_profile, _field_source, _phase_tables
+from pseudosun.heralded import (
+    _assemble,
+    _comb_average,
+    _field_profile,
+    _field_source,
+    _phase_tables,
+    _resonant_bins,
+)
 from pseudosun.numerics import C_CM_PER_FS, _ChirpZ, angular_frequency
 
 from conftest import (
@@ -34,6 +41,7 @@ from oracles import (
     field_profile,
     herald_phase_extended,
     quadratic_form_by_loops,
+    uniform_exact_average,
 )
 
 RECT = ps.FieldMethod.RECT_APPROX
@@ -441,6 +449,10 @@ class TestHeraldAveraging:
         want = b.matrices[window, 0, 0].real
         assert np.max(np.abs(got - want) / want) < 0.05
 
+    #: Heralds per average that the mirrored loop serves: exact fields take it for two
+    #: heralds (or a step too coarse for the comb), the rect field for any count.
+    LOOP_SAMPLES = {EXACT: (2,), RECT: (8, 9)}
+
     @pytest.mark.parametrize(
         "method, mol",
         [(RECT, TWO_LEVEL), (EXACT, TWO_LEVEL), (RECT, THREE_LEVEL), (EXACT, THREE_LEVEL)],
@@ -455,7 +467,7 @@ class TestHeraldAveraging:
         times = ps.TimeGrid(start, 40.0, 801)
         pad = REF_PDC.entanglement_time
         grid = ps.default_field_grid(REF_PDC, time_span=times.max - times.min + pad)
-        for samples in (8, 9):
+        for samples in self.LOOP_SAMPLES[method]:
             averaged = ps.average_over_heralds(mol, REF_PDC, None, times, samples, method=method)
             heralds = np.linspace(times.min - pad, times.max + pad, samples)
             fields = []
@@ -470,15 +482,17 @@ class TestHeraldAveraging:
                 total += ps.evolve_heralded(mol, field).matrices
             assert np.array_equal(averaged.matrices, total / samples), samples
 
-    # The exact field's bound is the phase tables' accuracy (measured 2.1e-12 here and
-    # 6.6e-12 over 512 heralds on 0-100 fs); the rect field's mirror differs only by the
-    # rounding of the delays (measured 2.5e-14).
-    @pytest.mark.parametrize("method, tolerance", [(EXACT, 1e-11), (RECT, 1e-13)],
-                             ids=["exact", "rect"])
+    # The exact field's bound is the phase tables' accuracy (measured 2.1e-12 on 0-40 fs
+    # and 6.6e-12 over 512 heralds on 0-100 fs); the rect field's mirror differs only by
+    # the rounding of the delays (measured 2.5e-14).
+    @pytest.mark.parametrize(
+        "method, samples, tolerance",
+        [(EXACT, 2, 1e-11), (RECT, 8, 1e-13), (RECT, 9, 1e-13)],
+        ids=["exact-2", "rect-8", "rect-9"],
+    )
     @pytest.mark.parametrize("start", [0.0, 7.5], ids=["start0", "start7.5"])
-    @pytest.mark.parametrize("samples", [8, 9])
     def test_mirror_is_the_field_of_the_reflected_herald(
-        self, method, tolerance, start, samples, monkeypatch
+        self, method, samples, tolerance, start, monkeypatch
     ):
         # conj(F_s(t_{T-1-k})) is the field at t_k of s' = 2 t_0 + (T - 1) dt - s.
         times = ps.TimeGrid(start, 40.0, 801)
@@ -503,24 +517,25 @@ class TestHeraldAveraging:
     @pytest.mark.parametrize("samples", [8, 9])
     def test_fields_can_be_kept_without_copying(self, samples, monkeypatch):
         # Each field the builder gets is an array of its own, mirrors included, so
-        # a consumer may keep them all as they come.
+        # a consumer may keep them all as they come; the rect field is the one
+        # that still takes mirrors.
         seen = []
 
         def spy(mol, times, fields):
             return _assemble(mol, times, (seen.append(f) or f for f in fields))
 
         monkeypatch.setattr(ps.heralded, "_assemble", spy)
-        ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, ps.TimeGrid(0.0, 20.0, 201), samples)
+        times = ps.TimeGrid(0.0, 20.0, 201)
+        ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, samples, method=RECT)
         assert len(seen) == samples
         for j in range(samples // 2):
             assert np.array_equal(seen[2 * j + 1], np.conj(seen[2 * j][::-1])), j
         for i, field in enumerate(seen):
             assert not any(np.may_share_memory(field, other) for other in seen[i + 1 :]), i
 
-    @pytest.mark.parametrize("sampling, samples, transforms",
-                             [("uniform", 1, 1), ("uniform", 8, 4), ("uniform", 9, 5),
-                              ("random", 8, 8), ("random", 9, 9)])
-    def test_one_transform_per_mirrored_pair(self, sampling, samples, transforms, monkeypatch):
+    @pytest.fixture
+    def transforms_of_average(self, monkeypatch):
+        """The number of chirp-z transforms an average of TWO_LEVEL takes, 0-20 fs by default."""
         calls = []
         synthesize = _ChirpZ.__call__
 
@@ -529,60 +544,187 @@ class TestHeraldAveraging:
             return synthesize(self, coefficients, work)
 
         monkeypatch.setattr(_ChirpZ, "__call__", counted)
-        times = ps.TimeGrid(0.0, 20.0, 201)
-        ps.average_over_heralds(
-            TWO_LEVEL, REF_PDC, None, times, samples, sampling=sampling, seed=3
+
+        def count(samples, sampling, times=ps.TimeGrid(0.0, 20.0, 401)):
+            calls.clear()
+            ps.average_over_heralds(
+                TWO_LEVEL, REF_PDC, None, times, samples, sampling=sampling, seed=3
+            )
+            return len(calls)
+
+        return count
+
+    @pytest.mark.parametrize("sampling, samples, transforms",
+                             [("uniform", 1, 1), ("uniform", 2, 1),
+                              ("random", 8, 8), ("random", 9, 9)])
+    def test_one_transform_per_mirrored_pair(
+        self, sampling, samples, transforms, transforms_of_average
+    ):
+        assert transforms_of_average(samples, sampling) == transforms
+
+    def test_uniform_exact_average_takes_the_same_transforms_at_any_count(
+        self, transforms_of_average
+    ):
+        # The comb takes 1 transform for its Dirichlet kernel, 2 per level for the herald
+        # sums, 1 per ordered level pair, 1 per level and 2 per pair a < b for the lag sums,
+        # and 1 per level and resonant bin: 2 here, each level's own bin.
+        counts = [transforms_of_average(samples, "uniform") for samples in (8, 9, 512)]
+        assert counts == [1 + 2 * 2 + 4 + (2 + 2) + 2 * 2] * 3
+
+    def test_coarse_step_keeps_the_mirrored_loop(self, transforms_of_average):
+        # 4 fs steps alias each level every 8,339 cm^-1 of the 0-679,128 cm^-1 grid: about
+        # 160 resonant bins, 2 transforms each, so 9 heralds take the loop's 5 transforms.
+        assert transforms_of_average(9, "uniform", ps.TimeGrid(0.0, 40.0, 11)) == 5
+
+    # The herald comb against a per-herald geometric-series oracle and against
+    # the single-herald loop, both at np.linspace's herald times.
+    COMB_GRID = ps.default_field_grid(REF_PDC, time_span=45.0)
+    ON_BIN = float(COMB_GRID.points[round(18000.0 / COMB_GRID.spacing)])
+    COMB_CASES = {
+        **{f"L3-J{samples}-start{start}": (THREE_LEVEL, ps.TimeGrid(start, 40.0, 401), samples)
+           for samples in (2, 8, 9, 64) for start in (0.0, 7.5)},
+        **{f"L{mol.size}-J9-start{start}": (mol, ps.TimeGrid(start, 40.0, 401), 9)
+           for mol in (ONE_LEVEL, TWO_LEVEL) for start in (0.0, 7.5)},
+        # theta exactly 0 at one bin, then 1e-8 spacings from it
+        "on-bin": (ps.MolecularSystem(((ON_BIN, 1.0), (18500.0, -0.7))),
+                   ps.TimeGrid(0.0, 40.0, 401), 9),
+        "off-bin-1e-8": (
+            ps.MolecularSystem(((ON_BIN + 1e-8 * COMB_GRID.spacing, 1.0), (18500.0, -0.7))),
+            ps.TimeGrid(0.0, 40.0, 401), 9),
+        # dt = 1 fs aliases every bin 33,356 cm^-1 from a level, and 18000 cm^-1 is bin 1800
+        "dt1-on-bin": (TWO_LEVEL, ps.TimeGrid(3.0, 40.0, 38), 16),
+    }
+
+    @pytest.mark.parametrize("name", list(COMB_CASES))
+    def test_uniform_exact_average_matches_oracle_and_loop(self, name):
+        # Bound 1e-12 of the largest entry. Measured on these cases: at most 2.3e-14 from
+        # the oracle and 2.6e-14 from the loop, about 40x headroom. The comb is called
+        # directly, since average_over_heralds gives small counts with many resonant bins
+        # to the loop. Two heralds, each a pad outside the window, average only the fields'
+        # sinc tails, about 1e-5 of the average of eight: the mirrored loop serves them, 1.9e-12
+        # of that small largest entry from the loop here and 7.6e-12 from the oracle, so their
+        # bound is 1e-10 (13x).
+        mol, times, samples = self.COMB_CASES[name]
+        pad = REF_PDC.entanglement_time
+        lo, hi = times.min - pad, times.max + pad
+        heralds = np.linspace(lo, hi, samples)
+        grid = ps.FrequencyGrid(0.0, 60000.0, 6001) if name.startswith("dt1") else self.COMB_GRID
+        if samples == 2:
+            got = ps.average_over_heralds(mol, REF_PDC, grid, times, samples).matrices
+        else:
+            resonant = _resonant_bins(mol, grid, times)
+            got = _comb_average(mol, REF_PDC, grid, times, lo, hi, samples, resonant).matrices
+        loop = sum(
+            ps.evolve_heralded(mol, ps.heralded_field(times, s, REF_PDC, grid=grid)).matrices
+            for s in heralds
+        ) / samples
+        oracle = uniform_exact_average(mol, REF_PDC, grid, times, heralds)
+        bound = 1e-10 if samples == 2 else 1e-12
+        assert np.max(np.abs(got - loop)) <= bound * np.max(np.abs(loop))
+        assert np.max(np.abs(got - oracle)) <= bound * np.max(np.abs(oracle))
+        assert np.all(got[0] == 0.0)
+        assert np.all(np.diagonal(got, axis1=1, axis2=2).real >= 0.0)
+
+    def test_uniform_exact_average_peak_memory(self):
+        # At the herald_exact sizes (T = 2,001, N = 4,175, 512 heralds) the comb's
+        # tracemalloc peak measured 1,003,839 bytes (numpy 2.4.6); the per-herald loop
+        # it replaces peaked at 1,082,174.
+        grid = ps.default_field_grid(REF_PDC, time_span=102.5)
+        average = lambda: ps.average_over_heralds(TWO_LEVEL, REF_PDC, grid, TIMES_100, 512)
+        average()
+        tracemalloc.start()
+        try:
+            average()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1e6
+
+    @staticmethod
+    def faults_in_fresh_interpreter(body: str) -> int:
+        """Minor page faults that body, run in a fresh interpreter, prints."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", body], env=env, capture_output=True, text=True, check=True
         )
-        assert len(calls) == transforms
+        return int(run.stdout)
+
+    AVERAGE = f"""
+import resource
+import pseudosun as ps
+mol, params, times = ps.{TWO_LEVEL!r}, ps.{REF_PDC!r}, ps.{TIMES_100!r}
+average = lambda: ps.average_over_heralds(mol, params, None, times, 512, sampling=SAMPLING, seed=5)
+faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+"""
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's allocator")
-    def test_average_page_faults_bounded(self):
+    @pytest.mark.parametrize("sampling", ["uniform", "random"])
+    def test_average_page_faults_bounded(self, sampling):
         # Counted in a fresh interpreter with glibc's heap trimming off and its
         # mmap threshold pinned at 120 KB, so the count does not hang on the
         # heap's history: after the warm-up only arrays of 120 KB or more, such
         # as one of the trajectory's size (T x 2 x 2 complex, 128 KB), are
         # mapped afresh. One such temporary per herald faulted 16,384 times.
         code = f"""
-import ctypes, resource
+import ctypes
 libc = ctypes.CDLL(None)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 if not (libc.mallopt(M_MMAP_THRESHOLD, 120 * 1024) and libc.mallopt(M_TRIM_THRESHOLD, 1 << 30)):
     raise SystemExit("mallopt")
-import pseudosun as ps
-mol, params, times = ps.{TWO_LEVEL!r}, ps.{REF_PDC!r}, ps.{TIMES_100!r}
-average = lambda: ps.average_over_heralds(mol, params, None, times, 512)
+SAMPLING = {sampling!r}
+{self.AVERAGE}
 average()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+before = faults()
 average()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults() - before)
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert int(run.stdout) < 2000
+        assert self.faults_in_fresh_interpreter(code) < 2000
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
-    def test_first_average_page_faults_bounded(self):
+    @pytest.mark.parametrize("sampling", ["uniform", "random"])
+    def test_first_average_page_faults_bounded(self, sampling):
         # The CLI makes one average per process, so the first call, at glibc's
-        # default self-adjusting thresholds, is the one a run pays for. With the
-        # source's coefficient and work buffers kept across heralds and every
-        # other array made per field it faulted 172-177 times, also under -X dev
-        # (182-184 with the builder's arrays and the mirror kept too). A work
-        # buffer made per herald faulted 14,677 times in every later average.
+        # default self-adjusting thresholds, is the one a run pays for.
         code = f"""
-import resource
-import pseudosun as ps
-mol, params, times = ps.{TWO_LEVEL!r}, ps.{REF_PDC!r}, ps.{TIMES_100!r}
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-ps.average_over_heralds(mol, params, None, times, 512)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+SAMPLING = {sampling!r}
+{self.AVERAGE}
+before = faults()
+average()
+print(faults() - before)
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert int(run.stdout) < 2000
+        assert self.faults_in_fresh_interpreter(code) < 2000
+
+    def test_sampled_average_keeps_one_work_buffer(self, monkeypatch):
+        # A transform work buffer made per herald faulted 10,629 times in every 512-herald
+        # uniform loop average after a process's first at glibc's default thresholds,
+        # against 173 with the source's one buffer kept. The random average's page faults
+        # do not show it (192-209 against 133), so the buffer itself is checked.
+        buffers = []
+        synthesize = _ChirpZ.__call__
+
+        def recorded(self, coefficients, work):
+            buffers.append(work)
+            return synthesize(self, coefficients, work)
+
+        monkeypatch.setattr(_ChirpZ, "__call__", recorded)
+        times = ps.TimeGrid(0.0, 20.0, 201)
+        ps.average_over_heralds(TWO_LEVEL, REF_PDC, None, times, 9, sampling="random", seed=3)
+        assert len(buffers) == 9
+        assert all(work is buffers[0] for work in buffers)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+    def test_later_random_average_page_faults_bounded(self):
+        # A library caller may average again and again: at glibc's default thresholds
+        # every later 512-herald random average faulted 133 times.
+        code = f"""
+SAMPLING = "random"
+{self.AVERAGE}
+average()
+before = faults()
+average()
+print(faults() - before)
+"""
+        assert self.faults_in_fresh_interpreter(code) < 2000
 
     def test_random_sampling_seeded(self):
         times = ps.TimeGrid(0.0, 20.0, 101)

@@ -183,7 +183,7 @@ class TestChirpZ:
     @pytest.mark.parametrize("bins, count", [(301, 41), (41, 301)], ids=["N>T", "N<T"])
     @pytest.mark.parametrize("kind", [float, complex])
     def test_work_buffer_contents_do_not_change_the_bits(self, bins, count, kind):
-        plan = _ChirpZ(FrequencyGrid(11000.0, 13000.0, bins), 0.05, count)
+        plan = _ChirpZ.on(FrequencyGrid(11000.0, 13000.0, bins), 0.05, count)
         noise = rng().standard_normal((2, bins))
         coefficients = noise[0] if kind is float else noise[0] + 1j * noise[1]
         zeroed = plan(coefficients, np.zeros(plan.size, dtype=complex))
