@@ -261,7 +261,8 @@ def uniform_exact_average(
             numerator, ratio, out=np.broadcast_to(k + 1, numerator.shape).astype(complex),
             where=ratio != 0,
         )
-        running = dt * np.exp(1j * theta * t[0]) * (geometric - 0.5 * (1 + np.exp(1j * theta * k * dt)))
+        ends = 0.5 * (1 + np.exp(1j * theta * k * dt))
+        running = dt * np.exp(1j * theta * t[0]) * (geometric - ends)
         for n in np.flatnonzero(np.abs(ratio) < 1e-2):
             steps = np.exp(1j * theta[n] * t)
             running[1:, n] = np.cumsum(0.5 * dt * (steps[1:] + steps[:-1]))
