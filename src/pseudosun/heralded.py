@@ -23,7 +23,7 @@ broadcast multiplies of N values into a coefficient buffer and one
 transform pair in a work buffer. The field is within 1e-11 of its peak of
 the one taken with an exponential per frequency, and the phase within a
 factor 2 of its error against an extended-precision reference. A single
-herald and every average that the comb below does not take take their
+herald, and every average the comb below leaves to the loop, get their
 fields from one source, which picks the method and the frequency grid and
 builds the tables, the transform and those two buffers once; they are the
 only arrays kept across heralds (see _field_source), and every field it
@@ -56,8 +56,8 @@ g_a(t_0 - s_j). The mean of its products needs only
 kappa diverges at bins whose theta lies within dw/2 of a multiple of 2 pi/dt
 (resonant, or aliased by the time step). u leaves those bins out, and each
 one's response is its explicit cumulative trapezoid; its products with the
-far bins take one transform per level (of u_a,n D_(n - m)) and its
-products with the other resonant bins are summed directly. Row t_0 is
+far bins take one transform per level (of u_a,n D_(n - m)), and its
+products with the other resonant bins one matrix product. Row t_0 is
 exactly 0, as an empty trapezoid gives. For two levels and two resonant
 bins that is 17 transforms whatever J. At T = 2,001, N = 4,175 and 512
 heralds on 0-100 fs it takes about 6 ms, against about 80 ms for a
@@ -67,11 +67,11 @@ band aliases a bin onto each level every 1/(c dt) cm^-1, each one more
 transform per level: the comb runs only while those transforms are at most
 the loop's, one per mirrored pair of heralds (10 fs steps on 0-100 fs
 leave 408 resonant bins on the default grid), and the loop below serves
-the rest. The comb's terms are each as large as
-|g|^2, the response to the grid field's periodic pulse train, and cancel
-to the average. Two heralds sit a pad outside each end of the window, so
-their average is about 1e-5 of those terms, and the comb was 7e-11 off the
-loop there: two heralds always take the loop.
+the rest. The comb's terms are each as large as |g|^2, the response to the
+grid field's periodic pulse train, and cancel to the average. Two heralds
+sit a pad outside each end of the window, so their average is about 1e-5
+of those terms, and the comb was 7e-11 off the loop there: two heralds
+always take the loop.
 
 Since the profile p_n is real, conj(F(t_{T-1-k})) is the field at t_k of
 the herald reflected through the window's centre, at
@@ -89,8 +89,8 @@ Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
 exactly rank one. It is returned as a plain dynamics.DensityTrajectory, like
 the herald average and the unheralded trajectory, so the rank-one defect is
-read the same way on all three. One builder serves a single herald and a
-sampled average: it sums the upper-triangle products of each field's
+read the same way on all three. One builder serves a single herald and
+the loop's averages: it sums the upper-triangle products of each field's
 amplitudes into one total, divides by the field count and makes the result
 exactly Hermitian, as the unheralded trajectories are; the comb makes its
 result Hermitian the same way. The long-time closed form, the impulsive

@@ -234,14 +234,13 @@ def uniform_exact_average(
     Swapping the frequency and time sums, each herald's response of level a at t_k is
     mu_a e^{-i eps_a t_k} sum_n p_n e^{i w_n s} G_a,n(t_k), where G is the trapezoid sum of
     e^{i theta t} (theta = eps_a - w_n) over t_0..t_k in closed form, a geometric series:
-    dt e^{i theta t_0} [(z^{k+1} - 1) / (z - 1) - (1 + z^k) / 2] with z = e^{i theta dt}, and
-    k + 1 terms where z = 1. Both differences e^{iy} - 1 are taken as -2 sin^2(y/2) + i sin y,
-    so a bin close to a level keeps its digits. Near an alias, y = theta dt close to a nonzero
-    multiple of 2 pi, the rounding of y itself is no longer small against z - 1 (at dt =
+    dt e^{i theta t_0} [(z^{k+1} - 1) / (z - 1) - (1 + z^k) / 2] with z = e^{i theta dt}. Both
+    differences e^{iy} - 1 are taken as -2 sin^2(y/2) + i sin y. Bins with |z - 1| < 1e-2 add
+    their steps one by one instead: near a level, and near an alias (y close to a nonzero
+    multiple of 2 pi), where the rounding of y is no longer small against z - 1; at dt =
     0.08125 fs one such bin put the series 2.7e-12 of the average's largest entry off the
-    step sum), so bins with |z - 1| < 1e-2 add their steps one by one. As in
-    perfbench/checks.py's exact_average, the herald times enter only through e^{i w_n s}.
-    Unnormalized, shape (T, L, L).
+    step sum. As in perfbench/checks.py's exact_average, the herald times enter only through
+    e^{i w_n s}. Unnormalized, shape (T, L, L).
     """
 
     def minus_one(y):
@@ -256,14 +255,13 @@ def uniform_exact_average(
     for a in range(mol.size):
         theta = level[a] - omega
         ratio = minus_one(theta * dt)
-        numerator = minus_one((k + 1) * theta * dt)
-        geometric = np.divide(
-            numerator, ratio, out=np.broadcast_to(k + 1, numerator.shape).astype(complex),
-            where=ratio != 0,
-        )
+        near = np.abs(ratio) < 1e-2
+        ratio[near] = 1.0
+        geometric = minus_one((k + 1) * theta * dt) / ratio
         ends = 0.5 * (1 + np.exp(1j * theta * k * dt))
         running = dt * np.exp(1j * theta * t[0]) * (geometric - ends)
-        for n in np.flatnonzero(np.abs(ratio) < 1e-2):
+        running[0, near] = 0.0
+        for n in np.flatnonzero(near):
             steps = np.exp(1j * theta[n] * t)
             running[1:, n] = np.cumsum(0.5 * dt * (steps[1:] + steps[:-1]))
         phi[a] = mol.dipoles[a] * np.exp(-1j * level[a] * t)[:, None] * (running @ shifted)
