@@ -510,7 +510,7 @@ def _comb_average(
 
     # D_d = mean_j exp(i d dw s_j) for 0 <= d < N, D_-d = conj(D_d); beta_a^j = g_a(t0 - s_j)
     # and v_b,n = mean_j exp(i w_n s_j) conj(beta_b^j)
-    dirichlet = transform(comb, 1.0, 1.0)
+    dirichlet = comb(np.ones(samples), work[: comb.size])
     dirichlet *= _phasor(turns * lo, np.arange(bins, dtype=float)) / samples
     beta = lead * np.stack([transform(heralds, u_a, at_lo) for u_a in u])
     del heralds
@@ -560,7 +560,7 @@ def _comb_average(
             np.conjugate(spectrum[: -bins : -1], out=behind[1:])
             behind *= dirichlet
             total[:, a, b] += transform(plan, dirichlet, spectrum[:bins])
-            total[:, a, b] += transform(plan, behind, 1.0).conj()
+            total[:, a, b] += plan(behind, work[: plan.size]).conj()
             del behind
     del spectrum
 
