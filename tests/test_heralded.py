@@ -48,6 +48,10 @@ RECT = ps.FieldMethod.RECT_APPROX
 EXACT = ps.FieldMethod.EXACT_QUADRATURE
 #: Three levels, one dipole negative: every pair a < b, and signs, in the assembly.
 THREE_LEVEL = ps.MolecularSystem(((18000.0, 1.0), (18500.0, -0.7), (19200.0, 0.4)))
+#: The default exact grid of a 0-40 fs window padded by the entanglement time, and the
+#: frequency of its bin nearest 18,000 cm^-1, for the herald comb's cases.
+COMB_GRID = ps.default_field_grid(REF_PDC, time_span=45.0)
+ON_BIN = float(COMB_GRID.points[round(18000.0 / COMB_GRID.spacing)])
 
 
 def support_l2_discrepancy(params, herald_time, count=4001):
@@ -578,21 +582,24 @@ class TestHeraldAveraging:
 
     # The herald comb against a per-herald geometric-series oracle and against
     # the single-herald loop, both at np.linspace's herald times.
-    COMB_GRID = ps.default_field_grid(REF_PDC, time_span=45.0)
-    ON_BIN = float(COMB_GRID.points[round(18000.0 / COMB_GRID.spacing)])
     COMB_CASES = {
-        **{f"L3-J{samples}-start{start}": (THREE_LEVEL, ps.TimeGrid(start, 40.0, 401), samples)
+        **{f"L3-J{samples}-start{start}":
+           (THREE_LEVEL, ps.TimeGrid(start, 40.0, 401), samples, COMB_GRID)
            for samples in (2, 8, 9, 64) for start in (0.0, 7.5)},
-        **{f"L{mol.size}-J9-start{start}": (mol, ps.TimeGrid(start, 40.0, 401), 9)
+        **{f"L{mol.size}-J9-start{start}": (mol, ps.TimeGrid(start, 40.0, 401), 9, COMB_GRID)
            for mol in (ONE_LEVEL, TWO_LEVEL) for start in (0.0, 7.5)},
         # theta exactly 0 at one bin, then 1e-8 spacings from it
         "on-bin": (ps.MolecularSystem(((ON_BIN, 1.0), (18500.0, -0.7))),
-                   ps.TimeGrid(0.0, 40.0, 401), 9),
+                   ps.TimeGrid(0.0, 40.0, 401), 9, COMB_GRID),
         "off-bin-1e-8": (
             ps.MolecularSystem(((ON_BIN + 1e-8 * COMB_GRID.spacing, 1.0), (18500.0, -0.7))),
-            ps.TimeGrid(0.0, 40.0, 401), 9),
+            ps.TimeGrid(0.0, 40.0, 401), 9, COMB_GRID),
         # dt = 1 fs aliases every bin 33,356 cm^-1 from a level, and 18000 cm^-1 is bin 1800
-        "dt1-on-bin": (TWO_LEVEL, ps.TimeGrid(3.0, 40.0, 38), 16),
+        "dt1-on-bin": (TWO_LEVEL, ps.TimeGrid(3.0, 40.0, 38), 16,
+                       ps.FrequencyGrid(0.0, 60000.0, 6001)),
+        # a grid from 8,000 cm^-1: every frequency carries exp(-i w_min t)
+        "grid-from-8000": (THREE_LEVEL, ps.TimeGrid(7.5, 40.0, 401), 9,
+                           ps.FrequencyGrid(8000.0, 48000.0, 201)),
     }
 
     @pytest.mark.parametrize("name", list(COMB_CASES))
@@ -604,11 +611,10 @@ class TestHeraldAveraging:
         # sinc tails, about 1e-5 of the average of eight: the mirrored loop serves them, 1.9e-12
         # of that small largest entry from the loop here and 7.6e-12 from the oracle, so their
         # bound is 1e-10 (13x).
-        mol, times, samples = self.COMB_CASES[name]
+        mol, times, samples, grid = self.COMB_CASES[name]
         pad = REF_PDC.entanglement_time
         lo, hi = times.min - pad, times.max + pad
         heralds = np.linspace(lo, hi, samples)
-        grid = ps.FrequencyGrid(0.0, 60000.0, 6001) if name.startswith("dt1") else self.COMB_GRID
         if samples == 2:
             got = ps.average_over_heralds(mol, REF_PDC, grid, times, samples).matrices
         else:
