@@ -60,30 +60,18 @@ far bins take one transform per level (of u_a,n D_(n - m)), and its
 products with the other resonant bins one matrix product. Row t_0 is
 exactly 0, as an empty trapezoid gives. For two levels and two resonant
 bins that is 17 transforms whatever J. At T = 2,001, N = 4,175 and 512
-heralds on 0-100 fs it takes about 6 ms, against about 80 ms for a
-transform and a trapezoid per herald pair, and it is 2.7e-14 of its
-largest entry off that loop. A time step that does not resolve the grid's
-band aliases a bin onto each level every 1/(c dt) cm^-1, each one more
-transform per level: the comb runs only while those transforms are at most
-the loop's, one per mirrored pair of heralds (10 fs steps on 0-100 fs
-leave 408 resonant bins on the default grid), and the loop below serves
+heralds on 0-100 fs it takes about 6 ms, against about 140 ms for a
+transform and a trapezoid per herald, and it is 2.7e-14 of its largest
+entry off that loop. A time step that does not resolve the grid's band
+aliases a bin onto each level every 1/(c dt) cm^-1, each one more transform
+per level: the comb runs only while those L transforms per resonant bin are
+at most the loop's, one per herald (5 fs steps on 0-100 fs leave 204
+resonant bins on the default grid, 10 fs steps 408), and the loop serves
 the rest. The comb's terms are each as large as |g|^2, the response to the
 grid field's periodic pulse train, and cancel to the average. Two heralds
 sit a pad outside each end of the window, so their average is about 1e-5
 of those terms, and the comb was 7e-11 off the loop there: two heralds
 always take the loop.
-
-Since the profile p_n is real, conj(F(t_{T-1-k})) is the field at t_k of
-the herald reflected through the window's centre, at
-t_h' = 2 t_0 + (T - 1) dt - t_h; the rect field is even in the delay up to
-its carrier's conjugation, so the same holds for it. A uniform average that
-takes the loop places its heralds symmetrically about that centre, so one
-field serves herald j and its mirror J-1-j: ceil(J/2) transforms for J
-exact heralds. The mirror herald sits at the reflected time, within
-1.4e-14 fs of linspace's, and its field is within 6.6e-12 of its peak of
-the one computed there directly (512 exact heralds on 0-100 fs). Such an
-average is exactly the mean of the single-herald trajectories of those
-fields. Random herald times have no mirrors and take one transform each.
 
 Since the conditioned field correlation factorizes, the conditioned
 trajectory is an outer product of single-excitation amplitudes and is
@@ -101,7 +89,7 @@ observable live here as well.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import ceil, isfinite, isqrt
 
@@ -222,13 +210,13 @@ def _field_source(
     coefficient buffer of that shape and one transform work buffer; each
     herald writes the profile times its two phase tables into the coefficient
     buffer and synthesizes from it into a new array. With the work buffer
-    made per herald instead, every 512-herald uniform average on 0-100 fs
-    after a process's first faulted 10,629-14,677 times, against 173 with it
-    kept (numpy 2.4.6, glibc 2.36, measured when those averages still took
-    the loop), as the allocator handed each freed buffer back and faulted it
-    in again. The coefficient buffer, the other N-sized array of
-    a herald, is kept alike, although made per herald it faulted 168-193
-    times there.
+    made per herald instead, every 512-herald uniform loop average on 0-100
+    fs after a process's first faulted 10,629-14,677 times, against 173 with
+    it kept (numpy 2.4.6, glibc 2.36, measured when that average took one
+    transform per pair of heralds), as the allocator handed each freed buffer
+    back and faulted it in again. The coefficient buffer, the other N-sized
+    array of a herald, is kept alike, although made per herald it faulted
+    168-193 times there.
     """
     if method is FieldMethod.RECT_APPROX:
         points = times.points
@@ -414,17 +402,16 @@ def average_over_heralds(
     from evolve_unconditional's by at most 1.4e-3 on 0-60 fs and 0.25 on
     20-80 fs.
 
-    - Exact fields at J >= 3 uniform heralds, while 2 L times the resonant
+    - Exact fields at J >= 3 uniform heralds, while L times the resonant
       bins is at most J: the mean over the herald comb in closed form (see
       the module docstring), a number of transforms that does not grow with
       J, within 1e-13 of the mean of the single-herald trajectories at the
       same times.
-    - Otherwise the fields go one at a time, in a fixed order, through the
-      builder evolve_heralded uses, so the average is bit for bit the mean of
-      the single-herald trajectories of those fields. A uniform average takes
-      herald j, its mirror in place of herald J-1-j, and the middle herald of
-      an odd count last. Each field is a new array, and only the source's
-      coefficient and transform buffers are kept across heralds.
+    - Otherwise the field of each herald, in order, goes through the builder
+      evolve_heralded uses, so the average is bit for bit the mean of the
+      single-herald trajectories at those herald times. Each field is a new
+      array, and only the source's coefficient and transform buffers are
+      kept across heralds.
     """
     _check_times(times, "average_over_heralds")
     try:
@@ -435,17 +422,16 @@ def average_over_heralds(
         if grid is None:
             grid = default_field_grid(params, time_span=field_span(times, lo, hi))
         resonant = _resonant_bins(mol, grid, times)
-        if 2 * mol.size * np.count_nonzero(resonant) <= herald_samples:
+        if mol.size * np.count_nonzero(resonant) <= herald_samples:
             return _comb_average(mol, params, grid, times, lo, hi, int(herald_samples), resonant)
-    field_at = _field_source(times, params, grid, method, lo, hi)
     if sampling == "random":
-        rng = np.random.default_rng(seed)
-        fields = map(field_at, rng.uniform(lo, hi, int(herald_samples)))
+        heralds = np.random.default_rng(seed).uniform(lo, hi, int(herald_samples))
     elif herald_samples == 1:
-        fields = [field_at(0.5 * (lo + hi))]
+        heralds = [0.5 * (lo + hi)]
     else:
-        fields = _mirrored(field_at, np.linspace(lo, hi, int(herald_samples)))
-    return _assemble(mol, times, fields)
+        heralds = np.linspace(lo, hi, int(herald_samples))
+    field_at = _field_source(times, params, grid, method, lo, hi)
+    return _assemble(mol, times, map(field_at, heralds))
 
 
 def _resonant_bins(mol: MolecularSystem, grid: FrequencyGrid, times: TimeGrid) -> np.ndarray:
@@ -596,26 +582,6 @@ def _comb_average(
     total *= np.outer(mol.dipoles, mol.dipoles)
     total[0] = 0.0
     return DensityTrajectory(times, _hermitian(total))
-
-
-def _mirrored(
-    field_at: Callable[[float], np.ndarray], herald_times: np.ndarray
-) -> Iterator[np.ndarray]:
-    """The fields of heralds placed symmetrically about the window's centre, two per call.
-
-    Herald j yields f_j and then conj(f_j[::-1]), the field of the herald
-    reflected through the centre (see the module docstring; the rect field
-    is even in the delay up to its carrier's conjugation), in place of
-    herald J-1-j, as a new array. The middle herald of an odd J is
-    computed alone. Every field yielded may be kept.
-    """
-    half, odd = divmod(len(herald_times), 2)
-    for herald_time in herald_times[:half]:
-        field = field_at(herald_time)
-        yield field
-        yield field[::-1].conj()
-    if odd:
-        yield field_at(herald_times[half])
 
 
 def coincidence_signal(mol: MolecularSystem, trajectory: DensityTrajectory) -> np.ndarray:
