@@ -453,7 +453,8 @@ class TestHeraldAveraging:
         want = b.matrices[window, 0, 0].real
         assert np.max(np.abs(got - want) / want) < 0.05
 
-    def test_uniform_exact_average_is_the_continuum_limit(self):
+    @pytest.mark.parametrize("samples, bound", [(128, 3e-3), (512, 5e-5), (1024, 2e-5)])
+    def test_uniform_exact_average_is_the_continuum_limit(self, samples, bound):
         # Averaged over herald times spread evenly over the field grid's period P = 1/(c dnu),
         # the products of different frequencies cancel, leaving the unconditional trajectory
         # on the field grid with spectrum values trapz_n tanh^2(r_n): amplitude_ref at the
@@ -474,10 +475,9 @@ class TestHeraldAveraging:
             mol, ps.PhotonSpectrum(COMB_GRID, values), times, amplitude_ref=REF_PDC.signal_center
         ).matrices
         period = 1.0 / (C_CM_PER_FS * COMB_GRID.spacing)
-        for samples, bound in ((128, 3e-3), (512, 5e-5), (1024, 2e-5)):
-            averaged = ps.average_over_heralds(mol, REF_PDC, COMB_GRID, times, samples).matrices
-            want = continuum * period / (samples * (hi - lo) / (samples - 1))
-            assert np.max(np.abs(averaged - want)) <= bound * np.max(np.abs(want)), samples
+        averaged = ps.average_over_heralds(mol, REF_PDC, COMB_GRID, times, samples).matrices
+        want = continuum * period / (samples * (hi - lo) / (samples - 1))
+        assert np.max(np.abs(averaged - want)) <= bound * np.max(np.abs(want))
 
     #: Heralds per average that the loop serves: exact fields take it for two heralds (or
     #: a step too coarse for the comb), the rect field for any count.
@@ -505,12 +505,14 @@ class TestHeraldAveraging:
             assert np.array_equal(averaged.matrices, total / samples), samples
 
     @pytest.mark.parametrize(
-        "method, sampling", [(RECT, "uniform"), (EXACT, "random")],
-        ids=["rect-uniform", "exact-random"],
+        "method, sampling, samples",
+        [(RECT, "uniform", 9), (EXACT, "random", 9), (RECT, "random", 9), (EXACT, "uniform", 2)],
+        ids=["rect-uniform", "exact-random", "rect-random", "exact-uniform"],
     )
-    def test_fields_can_be_kept_without_copying(self, method, sampling, monkeypatch):
+    def test_fields_can_be_kept_without_copying(self, method, sampling, samples, monkeypatch):
         # Each field the builder gets is an array of its own, so a consumer may
-        # keep them all as they come.
+        # keep them all as they come. Exact fields reach the builder uniformly
+        # only where the comb is not taken, as for two heralds.
         seen = []
 
         def spy(mol, times, fields):
@@ -519,9 +521,9 @@ class TestHeraldAveraging:
         monkeypatch.setattr(ps.heralded, "_assemble", spy)
         times = ps.TimeGrid(0.0, 20.0, 201)
         ps.average_over_heralds(
-            TWO_LEVEL, REF_PDC, None, times, 9, method=method, sampling=sampling, seed=3
+            TWO_LEVEL, REF_PDC, None, times, samples, method=method, sampling=sampling, seed=3
         )
-        assert len(seen) == 9
+        assert len(seen) == samples
         for i, field in enumerate(seen):
             assert not any(np.may_share_memory(field, other) for other in seen[i + 1 :]), i
 
