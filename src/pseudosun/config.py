@@ -10,11 +10,13 @@ hints: a JSON object is a dataclass, whose keys are its fields, or a
 dict[str, X] of free keys; a list is a tuple. A key is optional if and only
 if its field has a default, and an absent key takes that default.
 
-Parsing is strict: duplicate and unknown keys are rejected anywhere, so are
-the non-standard literals NaN, Infinity and -Infinity and any non-finite
-number, missing keys are reported with their full path, and all domain
-invariants are enforced before any computation starts. An error raised by
-a constructor is prefixed with the path of the block it was building.
+Parsing is strict. Duplicate keys are rejected anywhere in the file, and so
+is every non-finite number: the non-standard literals NaN, Infinity and
+-Infinity, and a literal such as 1e400 that overflows to one. Unknown keys
+are rejected at the top level and in the block a command reads, missing
+keys are reported with their full path, and all domain invariants are
+enforced before any computation starts. An error raised by a constructor is
+prefixed with the path of the block it was building.
 Every output key holds a plain file name, and the files one command writes,
 each CSV's gnuplot script included, have distinct names, so no run writes
 outside its output directory or over its own tables.
@@ -36,7 +38,7 @@ from .errors import FieldError, ValidationError
 from .fitting import FitProblem, _check_settings
 from .heralded import FieldMethod, default_field_grid, field_span, herald_window
 from .dynamics import MolecularSystem, NormalizationMode, _check_step
-from .numerics import FrequencyGrid, TimeGrid
+from .numerics import FrequencyGrid, TimeGrid, _shown
 from .output import format_value, script_name
 from .pdc import PdcParams, ThermalParams, thermal_mean
 
@@ -49,11 +51,14 @@ def example_config(name: str) -> Path:
     return Path(str(path))
 
 
-class _NonFinite:
-    """Placeholder the JSON reader puts where a file has NaN, Infinity or -Infinity."""
+class _NonFinite(str):
+    """The literal the JSON reader keeps, in place of the float, for a number that is not finite."""
 
-    def __init__(self, literal: str):
-        self.literal = literal
+
+def _number(literal: str):
+    """A JSON float literal, or NaN, Infinity or -Infinity, as a float if it is finite."""
+    value = float(literal)
+    return value if abs(value) <= sys.float_info.max else _NonFinite(literal)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -65,37 +70,33 @@ def _unique_keys(pairs: list) -> dict:
     return block
 
 
-def _non_finite_error(value, where: str) -> str | None:
-    """Message naming the path of the first non-finite literal in a parsed config."""
+def _non_finite(value, where: str):
+    """The path and literal of each non-finite number in a parsed config, in file order."""
     if isinstance(value, _NonFinite):
-        return f"{where}: non-finite number {value.literal} is not allowed"
-    if isinstance(value, dict):
-        children = ((f"{where}.{key}" if where else key, v) for key, v in value.items())
+        yield where, value
+    elif isinstance(value, dict):
+        for key, child in value.items():
+            yield from _non_finite(child, f"{where}.{key}" if where else key)
     elif isinstance(value, list):
-        children = ((f"{where}[{k}]", v) for k, v in enumerate(value))
-    else:
-        return None
-    for child_where, child in children:
-        error = _non_finite_error(child, child_where)
-        if error:
-            return error
-    return None
+        for k, child in enumerate(value):
+            yield from _non_finite(child, f"{where}[{k}]")
 
 
 def load_config(path) -> dict:
     """Load a config file and check its top-level keys are command names."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle, parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
+            raw = json.load(
+                handle, parse_float=_number, parse_constant=_number, object_pairs_hook=_unique_keys
+            )
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path}: invalid JSON ({exc})")
     except ValueError as exc:  # a duplicate key, non-UTF-8 bytes, an integer past the digit limit
         raise ValidationError(f"config {path}: {exc}")
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path}: top level must be an object")
-    error = _non_finite_error(raw, "")
-    if error:
-        raise ValidationError(f"config {path}: {error}")
+    for key, number in _non_finite(raw, ""):
+        raise ValidationError(f"{key}: non-finite number {number} is not allowed (config {path})")
     for key in raw:
         if key not in COMMANDS:
             raise ValidationError(f"config {path}: unknown top-level key '{key}'")
@@ -142,7 +143,7 @@ def _read(kind, value, where: str):
     if kind is float:
         # Compared, not converted, so an integer too large for a float is rejected too.
         if not abs(value) <= sys.float_info.max:
-            raise ValidationError(f"{where}: must be finite, got {value}")
+            raise ValidationError(f"{where}: must be finite, got {_shown(value)}")
         return float(value)
     return value
 

@@ -56,13 +56,14 @@ Everything the sums need of the level energies and the two grids alone, the
 chirp-z plan, the sinc table, the rotation, increment and output phase
 tables and, from t0 > 0, the sincs at t0 and the half-phase and delay
 tables, is kept in a cache of one entry (_kernel). Its key is the exact bits
-of the energies and of both grids' ends, with the two counts, so 0.0 and
--0.0, which compare equal, are different keys. The second light of fig2
-and every later call on the same grids find it, and a call on other grids
-replaces it. It holds 0.71 MB at the fig2 sizes (L = 2, N = 8,192,
-T = 2,001), 2.8 MB for five levels from 3 fs and 12.4 MB at L = 5,
-T = 20,001. Its arrays are read-only, the plan's too, and each call
-transforms in a work buffer it allocates, so concurrent calls are safe.
+of the energies and of both grids' ends, with the molecule and the two grids
+the tables are built from, so 0.0 and -0.0, which compare equal, are
+different keys. The second light of fig2 and every later call on the same
+molecule and grids find it, and any other call replaces it. It holds
+0.71 MB at the fig2 sizes (L = 2, N = 8,192, T = 2,001), 2.8 MB for five
+levels from 3 fs and 12.4 MB at L = 5, T = 20,001. Its arrays are
+read-only, the plan's too, and each call transforms in a work buffer it
+allocates, so concurrent calls are safe.
 
 DensityTrajectory is the one trajectory type: the unheralded trajectories
 here, and the heralded and herald-averaged ones of the heralded module. It
@@ -324,20 +325,17 @@ class _Kernel:
 def _kernel(mol: MolecularSystem, grid: FrequencyGrid, times: TimeGrid) -> _Kernel:
     """The kernel tables of mol's levels on grid and times, from a cache of one entry.
 
-    The key is the exact bits of every float: 0.0 and -0.0 compare equal, so a key of the
-    floats themselves would hand a grid that starts at -0.0 the tables built for one at 0.0.
+    The key holds the exact bits of the energies and grid ends: 0.0 and -0.0 compare equal, so
+    a key of the objects alone would hand a grid that starts at -0.0 the tables built for 0.0.
     """
     floats = (*mol.energies.tolist(), grid.min, grid.max, times.min, times.max)
-    return _build_kernel(struct.pack(f"{len(floats)}d", *floats), grid.count, times.count)
+    return _build_kernel(struct.pack(f"{len(floats)}d", *floats), mol, grid, times)
 
 
 @lru_cache(maxsize=1)
-def _build_kernel(bits: bytes, grid_count: int, times_count: int) -> _Kernel:
-    """_kernel's tables for the levels and grid ends packed in bits, built afresh."""
-    *energies, grid_min, grid_max, times_min, times_max = struct.unpack(f"{len(bits) // 8}d", bits)
-    grid = FrequencyGrid(grid_min, grid_max, grid_count)
-    times = TimeGrid(times_min, times_max, times_count)
-    level_ang = angular_frequency(energies)
+def _build_kernel(bits, mol: MolecularSystem, grid: FrequencyGrid, times: TimeGrid) -> _Kernel:
+    """_kernel's tables, built afresh from mol, grid and times; bits is only part of the key."""
+    level_ang = angular_frequency(mol.energies)
     theta = angular_frequency(grid.points)[None, :] - level_ang[:, None]
     plan = _ChirpZ.on(grid, times.spacing, times.count)
     lags = times.spacing * np.arange(times.count)
@@ -374,7 +372,7 @@ def _lag_sums(
     b: np.ndarray,
 ) -> np.ndarray:
     """plan(left[a[p]] * right[b[p]], work) for every pair p of levels, shape (pairs, T)."""
-    sums = np.empty((a.size, plan.count), dtype=complex)
+    sums = np.empty((a.size, plan.post.size), dtype=complex)
     for pair, (first, second) in enumerate(zip(a, b)):
         sums[pair] = plan(left[first] * right[second], work)
     return sums

@@ -19,15 +19,15 @@ coefficients, p_n exp(i w_n (t_h - t_0)) with t_0 the first time. With
 B = ceil(sqrt(N)) and n = q B + r the phase factorizes exactly,
 exp(i w_n s) = exp(i (w_min + q B dw) s) exp(i r dw s), so a herald costs
 about 2 sqrt(N) exponentials (a coarse and a fine phase table), two
-broadcast multiplies of N values into a coefficient buffer and one
-transform pair in a work buffer. The field is within 1e-11 of its peak of
-the one taken with an exponential per frequency, and the phase within a
-factor 2 of its error against an extended-precision reference. A single
-herald, and every average the comb below leaves to the loop, get their
-fields from one source, which picks the method and the frequency grid and
-builds the tables, the transform and those two buffers once; they are the
-only arrays kept across heralds (see _field_source), and every field it
-returns is a new array.
+broadcast multiplies of N values and one transform pair, all in one work
+buffer. The field is within 1e-11 of its peak of the one taken with an
+exponential per frequency, and the phase within a factor 2 of its error
+against an extended-precision reference. A single herald, and every
+average the comb below leaves to the loop, get their fields from one
+source, which picks the method and the frequency grid and builds the
+tables, the transform and that buffer once; they are the only arrays kept
+across heralds (see _field_source), and every field it returns is a new
+array.
 
 A heralded response is integrated from the first time of its grid, t_0 =
 times.min, where it is 0: the light before t_0 is dropped. The unheralded
@@ -182,7 +182,10 @@ def heralded_field(
     """
     if not isfinite(herald_time):
         raise ValidationError(f"heralded_field: herald_time must be finite, got {herald_time}")
-    field_at = _field_source(times, params, grid, method, herald_time, herald_time)
+    try:
+        field_at = _field_source(times, params, grid, method, herald_time, herald_time)
+    except ValidationError as exc:
+        raise ValidationError(f"heralded_field: {exc}") from None
     return HeraldedField(times, field_at(herald_time))
 
 
@@ -206,17 +209,14 @@ def _field_source(
     """The field on times as a function of the herald time, for heralds in [first, last].
 
     The default exact grid resolves the largest herald-to-window distance.
-    The exact field keeps its profile zero-padded to a (rows, B) array, one
-    coefficient buffer of that shape and one transform work buffer; each
-    herald writes the profile times its two phase tables into the coefficient
-    buffer and synthesizes from it into a new array. With the work buffer
-    made per herald instead, every 512-herald uniform loop average on 0-100
-    fs after a process's first faulted 10,629-14,677 times, against 173 with
-    it kept (numpy 2.4.6, glibc 2.36, measured when that average took one
-    transform per pair of heralds), as the allocator handed each freed buffer
-    back and faulted it in again. The coefficient buffer, the other N-sized
-    array of a herald, is kept alike, although made per herald it faulted
-    168-193 times there.
+    The exact field keeps its profile zero-padded to a (rows, B) array and one
+    work buffer of max(transform size, rows B) values; each herald writes the
+    profile times its two phase tables into the head of the work buffer and
+    synthesizes from there into a new array. With the work buffer made per
+    herald instead, every 512-herald uniform loop average on 0-100 fs after a
+    process's first faulted 10,629-14,677 times, against 173 with it kept
+    (numpy 2.4.6, glibc 2.36), as the allocator handed each freed buffer back
+    and faulted it in again.
     """
     if method is FieldMethod.RECT_APPROX:
         points = times.points
@@ -229,16 +229,15 @@ def _field_source(
     coarse, fine = phases(0.0)  # for the sizes of the tables
     profile = np.zeros((coarse.size, fine.size))
     profile.reshape(-1)[: grid.count] = _field_profile(params, grid)
-    coefficients = np.empty(profile.shape, dtype=complex)
-    head = coefficients.reshape(-1)[: grid.count]
     synthesize = _ChirpZ.on(grid, times.spacing, times.count)
-    work = np.empty(synthesize.size, dtype=complex)
+    work = np.empty(max(synthesize.size, profile.size), dtype=complex)
+    coefficients = work[: profile.size].reshape(profile.shape)
 
     def field_at(herald_time: float) -> np.ndarray:
         coarse, fine = phases(herald_time - times.min)
         np.multiply(profile, coarse[:, None], out=coefficients)
         np.multiply(coefficients, fine, out=coefficients)
-        return synthesize(head, work)
+        return synthesize(work[: grid.count], work)
 
     return field_at
 
@@ -410,17 +409,16 @@ def average_over_heralds(
     - Otherwise the field of each herald, in order, goes through the builder
       evolve_heralded uses, so the average is bit for bit the mean of the
       single-herald trajectories at those herald times. Each field is a new
-      array, and only the source's coefficient and transform buffers are
-      kept across heralds.
+      array, and only the source's work buffer is kept across heralds.
     """
     _check_times(times, "average_over_heralds")
     try:
         lo, hi = herald_window(params, times, herald_samples, pad, sampling)
+        if grid is None and method is FieldMethod.EXACT_QUADRATURE:
+            grid = default_field_grid(params, time_span=field_span(times, lo, hi))
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
     if method is FieldMethod.EXACT_QUADRATURE and sampling == "uniform" and herald_samples > 2:
-        if grid is None:
-            grid = default_field_grid(params, time_span=field_span(times, lo, hi))
         resonant = _resonant_bins(mol, grid, times)
         if mol.size * np.count_nonzero(resonant) <= herald_samples:
             return _comb_average(mol, params, grid, times, lo, hi, int(herald_samples), resonant)
@@ -492,11 +490,11 @@ def _comb_average(
 
     def transform(plan: _ChirpZ, left, right) -> np.ndarray:
         """plan(left * right), the product formed in the work buffer."""
-        return plan(np.multiply(left, right, out=work[: plan.pre.size]), work[: plan.size])
+        return plan(np.multiply(left, right, out=work[: plan.pre.size]), work)
 
     # D_d = mean_j exp(i d dw s_j) for 0 <= d < N, D_-d = conj(D_d); beta_a^j = g_a(t0 - s_j)
     # and v_b,n = mean_j exp(i w_n s_j) conj(beta_b^j)
-    dirichlet = comb(np.ones(samples), work[: comb.size])
+    dirichlet = comb(np.ones(samples), work)
     dirichlet *= _phasor(turns * lo, np.arange(bins, dtype=float)) / samples
     beta = lead * np.stack([transform(heralds, u_a, at_lo) for u_a in u])
     del heralds
@@ -546,7 +544,7 @@ def _comb_average(
             np.conjugate(spectrum[: -bins : -1], out=behind[1:])
             behind *= dirichlet
             total[:, a, b] += transform(plan, dirichlet, spectrum[:bins])
-            total[:, a, b] += plan(behind, work[: plan.size]).conj()
+            total[:, a, b] += plan(behind, work).conj()
             del behind
     del spectrum
 

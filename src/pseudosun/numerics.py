@@ -109,11 +109,17 @@ def _check_count(name: str, count, low: int) -> None:
     count, and an integer of any size is compared exactly, never through float().
     """
     if not low <= count < 2**60 or int(count) != count:
-        # A finite count past the limit is quoted in short form, such as 4.07e+302, by decimal,
-        # which rounds an int of any size; importing it with the module costs every run 0.4 MB.
-        from decimal import Decimal
-        shown = f"{Decimal(int(count)):.3g}" if 2**60 <= count < inf else count
+        shown = _shown(count)
         raise ValidationError(f"{name} must be an integer >= {low} and below 2**60, got {shown}")
+
+
+def _shown(number):
+    """number for a message: in short form, such as 4.07e+302, if finite and 2**60 or more in size.
+
+    decimal rounds an int of any size; importing it with the module costs every run 0.4 MB.
+    """
+    from decimal import Decimal
+    return f"{Decimal(int(number)):.3g}" if 2**60 <= abs(number) < inf else number
 
 
 def _check_positive(name: str, value) -> None:
@@ -158,11 +164,13 @@ class _ChirpZ:
     log(N + T)) time and O(N + T) memory. On a 2-core Xeon box a smooth size
     was as fast as the fastest of its smooth neighbours and up to 1.7x faster
     than the next power of two. A plan is read-only data, so threads may share
-    it. Both transforms write their result into a work buffer of size complex
-    values that the caller owns and may reuse across calls, whatever it holds:
-    allocating and freeing transform-sized arrays on every call made the
-    allocator hand memory back and fault it in again, and 512 calls at the
-    figure sizes took 0.37 s instead of 0.27 s. numpy's FFT still allocates
+    it. Both transforms run in the first size entries of a complex work buffer
+    at least that long, which the caller owns and may reuse across calls,
+    whatever it holds, and in which it may form the coefficients: allocating
+    and freeing transform-sized arrays on every call made the allocator hand
+    memory back and fault it in again, and 512 calls at the figure sizes took
+    0.37 s instead of 0.27 s. The kernel is transformed in place, so a plan's
+    set-up holds one size-long array. numpy's FFT still allocates
     scratch of about twice the transform size inside each transform, even
     with out= (seen as page faults; tracemalloc does not count it). The
     heralded field, the herald average and the unconditional dynamics all
@@ -174,13 +182,12 @@ class _ChirpZ:
         m = np.arange(inputs, dtype=float) if inputs >= outputs else k
         chirp = _phasor(0.5 * step, m * m)
         self.size = _fft_length(inputs + outputs - 1)
-        self.count = outputs
         self.pre = chirp[:inputs].conj()
         self.post = _phasor(-offset, k) * chirp[:outputs].conj()
-        kernel = np.zeros(self.size, dtype=complex)
-        kernel[:outputs] = chirp[:outputs]
-        kernel[self.size - inputs + 1 :] = chirp[1:inputs][::-1]
-        self.kernel = np.fft.fft(kernel)
+        self.kernel = np.zeros(self.size, dtype=complex)
+        self.kernel[:outputs] = chirp[:outputs]
+        self.kernel[self.size - inputs + 1 :] = chirp[1:inputs][::-1]
+        np.fft.fft(self.kernel, out=self.kernel)
         for table in (self.pre, self.post, self.kernel):
             table.flags.writeable = False
 
@@ -191,13 +198,13 @@ class _ChirpZ:
         return cls(C_CM_PER_FS * grid.spacing * dtau, grid.count, count, offset)
 
     def __call__(self, coefficients: np.ndarray, work: np.ndarray) -> np.ndarray:
-        n = self.pre.size
+        n, work = self.pre.size, work[: self.size]
         np.multiply(coefficients, self.pre, out=work[:n])
         work[n:] = 0
         np.fft.fft(work, out=work)
         work *= self.kernel
         np.fft.ifft(work, out=work)
-        return self.post * work[: self.count]
+        return self.post * work[: self.post.size]
 
 
 def _phasor(turns: float, steps: np.ndarray) -> np.ndarray:

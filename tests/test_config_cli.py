@@ -264,6 +264,33 @@ class TestBoundaryRejection:
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN"])
+    def test_non_finite_number_rejected_in_a_block_the_command_does_not_read(
+        self, tmp_path, capsys, literal
+    ):
+        # 1e400 parses to inf: the pre-pass flagged only the NaN and Infinity literals, so
+        # spectrum ran with it in the fit block and exited 0
+        path = tmp_path / "fig1.json"
+        config = dict(load_config(example_config("fig1")), fit={"tol": "TOL"})
+        path.write_text(json.dumps(config).replace('"TOL"', literal))
+        out = tmp_path / "run"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        message = f"fit.tol: non-finite number {literal} is not allowed (config {path})"
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_huge_integer_for_a_number_is_quoted_in_short_form(self, tmp_path, capsys):
+        # all 401 digits of 10**400 were printed
+        block = command_block(load_config(example_config("fig1")), "spectrum")
+        block["pdc"]["gain"] = 10**400
+        config = write_config(tmp_path / "gain.json", {"spectrum": block})
+        out = tmp_path / "run"
+        assert main(["spectrum", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: spectrum.pdc.gain: must be finite, got 1.00e+400\n"
+        assert not out.exists()
+
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
         path.write_text(
@@ -800,6 +827,104 @@ class TestBoundaryRejection:
         assert main(["heralded", "--config", config, "--out", str(out)]) == 2
         assert "heralded.herald_times" in capsys.readouterr().err
         assert not out.exists()
+
+
+#: Marks a leaf that a structural case deletes.
+DELETE = object()
+#: Each case: (shipped config, path under its command's block, new value, message start).
+#: Path () replaces the whole block and None the whole file.
+STRUCTURAL_CASES = {
+    "missing-block": ("fig2", ("grid",), DELETE, "dynamics.grid: missing required key"),
+    "missing-leaf": (
+        "fig2",
+        ("molecule", "levels", 0, "dipole"),
+        DELETE,
+        "dynamics.molecule.levels[0].dipole: missing required key",
+    ),
+    "missing-list": (
+        "fig3a", ("herald_times",), DELETE, "heralded.herald_times: missing required key"
+    ),
+    "missing-param": ("fig3a", ("pdc", "gain"), DELETE, "heralded.pdc.gain: missing required key"),
+    "string-number": ("fig2", ("times", "max"), "100", "dynamics.times.max: expected a number"),
+    "null-number": ("fig2", ("pdc", "gain"), None, "dynamics.pdc.gain: expected a number"),
+    "nested-list-number": (
+        "fig2", ("grid", "min"), [[1000.0]], "dynamics.grid.min: expected a number"
+    ),
+    "string-herald": (
+        "fig3a", ("herald_times", 0), "50", "heralded.herald_times[0]: expected a number"
+    ),
+    "list-herald": (
+        "fig3a", ("herald_times", 0), [50.0], "heralded.herald_times[0]: expected a number"
+    ),
+    "float-count": (
+        "fig2", ("times", "count"), 2001.0, "dynamics.times.count: expected an integer"
+    ),
+    "bool-count": ("fig2", ("grid", "count"), True, "dynamics.grid.count: expected an integer"),
+    "string-count": ("fig2", ("grid", "count"), "8192", "dynamics.grid.count: expected an integer"),
+    "float-heralded-count": (
+        "fig3a", ("times", "count"), 2001.0, "heralded.times.count: expected an integer"
+    ),
+    "list-object": ("fig2", ("molecule",), [], "dynamics.molecule: must be an object"),
+    "null-object": ("fig2", ("blackbody",), None, "dynamics.blackbody: must be an object"),
+    "number-object": ("fig2", ("pdc",), 1.0, "dynamics.pdc: must be an object"),
+    "list-average": ("fig3a", ("average",), [], "heralded.average: must be an object"),
+    "null-times": ("fig3a", ("times",), None, "heralded.times: must be an object"),
+    "string-levels": (
+        "fig2", ("molecule", "levels"), "two", "dynamics.molecule.levels: expected a list"
+    ),
+    "string-heralds": ("fig3a", ("herald_times",), "50", "heralded.herald_times: expected a list"),
+    "string-enum": ("fig2", ("normalization",), "max", "dynamics.normalization: must be one of"),
+    "number-enum": ("fig2", ("normalization",), 1, "dynamics.normalization: must be one of"),
+    "list-enum": (
+        "fig2", ("normalization",), ["max_diag"], "dynamics.normalization: must be one of"
+    ),
+    "string-method": ("fig3a", ("method",), "exact", "heralded.method: must be one of"),
+    "number-method": ("fig3a", ("method",), 1, "heralded.method: must be one of"),
+    "list-method": ("fig3a", ("method",), ["rect_approx"], "heralded.method: must be one of"),
+    "empty-heralds": (
+        "fig3a", ("herald_times",), [], "heralded.herald_times: must list at least one herald time"
+    ),
+    "list-level": (
+        "fig2",
+        ("molecule", "levels", 0),
+        [18000.0, 1.0],
+        "dynamics.molecule.levels[0]: must be an object",
+    ),
+    "null-string": ("fig2", ("output",), None, "dynamics.output: expected a string"),
+    "number-string": ("fig3a", ("output_prefix",), 3, "heralded.output_prefix: expected a string"),
+    "list-block": ("fig2", (), [], "dynamics: must be an object"),
+    "number-block": ("fig3a", (), 7, "heralded: must be an object"),
+    "list-top-level": ("fig2", None, [], "config {path}: top level must be an object"),
+    "string-top-level": ("fig3a", None, "heralded", "config {path}: top level must be an object"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message", list(STRUCTURAL_CASES.values()), ids=list(STRUCTURAL_CASES)
+)
+def test_structural_rule_is_one_exit_2_line(tmp_path, capsys, name, path, value, message):
+    # One leaf of a shipped config changed or deleted, or its block or the whole file
+    # replaced (path () or None): the reader's type and shape rules, each named by its path.
+    config = load_config(example_config(name))
+    (command,) = config
+    if path is None:
+        config = value
+    else:
+        *keys, last = (command, *path)
+        parent = config
+        for key in keys:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[last]
+        else:
+            parent[last] = value
+    path = write_config(tmp_path / f"{name}.json", config)
+    out = tmp_path / "run"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(path=path)}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])

@@ -191,6 +191,17 @@ class TestChirpZ:
         assert zeroed.shape == (count,) and np.all(np.isfinite(zeroed))
         assert filled.tobytes() == zeroed.tobytes()
 
+    @pytest.mark.parametrize("bins, count", [(301, 41), (41, 301)], ids=["N>T", "N<T"])
+    def test_longer_work_buffer_gives_the_bits_of_one_of_size(self, bins, count):
+        # the transforms run in the buffer's first size entries and leave the rest alone
+        plan = _ChirpZ.on(FrequencyGrid(11000.0, 13000.0, bins), 0.05, count)
+        noise = rng().standard_normal((2, bins))
+        coefficients = noise[0] + 1j * noise[1]
+        exact = plan(coefficients, np.empty(plan.size, dtype=complex))
+        longer = np.full(plan.size + 37, complex(np.nan, np.nan))
+        assert plan(coefficients, longer).tobytes() == exact.tobytes()
+        assert np.all(np.isnan(longer[plan.size :]))
+
     def test_every_plan_is_read_only_and_keeps_no_work_buffer(self, monkeypatch):
         plans = []
         build = _ChirpZ.__init__
