@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import sys
 import types
@@ -148,19 +149,28 @@ def _read(kind, value, where: str):
     return value
 
 
+@functools.cache
+def _declared(cls) -> dict[str, tuple[object, dataclasses.Field]]:
+    """Each init field of the dataclass `cls` by name, with its resolved type.
+
+    Resolving the string annotations compiles each one, so it runs once per class.
+    """
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f) for f in dataclasses.fields(cls) if f.init}
+
+
 def _read_block(cls, value, where: str):
     """Build the dataclass `cls` from the JSON object `value` at path `where`."""
     if not isinstance(value, dict):
         raise ValidationError(f"{where}: must be an object")
-    declared = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    declared = _declared(cls)
     unknown = sorted(set(value) - set(declared))
     if unknown:
         raise ValidationError(f"{where}: unknown key(s): {', '.join(unknown)}")
-    hints = typing.get_type_hints(cls)
     values = {}
-    for name, declaration in declared.items():
+    for name, (kind, declaration) in declared.items():
         if name in value:
-            values[name] = _read(hints[name], value[name], f"{where}.{name}")
+            values[name] = _read(kind, value[name], f"{where}.{name}")
         elif declaration.default is dataclasses.MISSING:
             raise ValidationError(f"{where}.{name}: missing required key")
     try:

@@ -10,26 +10,29 @@ FitProblem holds the bounds as a plain mapping from parameter name to (lo,
 hi) and owns every rule on them and on the free parameters; a broken rule
 raises a FieldError naming its path, such as bounds.gain or free_params.
 
-The optimizer is a bounded derivative-free simplex search, its simplex one
-(d + 1, d) array of vertices in the unit box. Candidates are projected
-(clipped) into the box rather than rejected, vertex ordering breaks
-objective ties lexicographically on the parameter vector, and convergence
-is declared when the simplex diameter drops below the tolerance.
-Everything is deterministic.
+The optimizer is a bounded derivative-free simplex search over the unit
+box. Its d + 1 vertices are tuples of d Python floats, each kept with its
+objective value; every step takes the IEEE operations, in the same order,
+that the search on a numpy array of vertices takes, so both evaluate the
+same candidates. Candidates are projected (clipped) into the box rather
+than rejected, vertex ordering breaks objective ties lexicographically on
+the parameter vector, and convergence is declared when the simplex
+diameter drops below the tolerance. Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import FieldError, FitDivergedError, ValidationError
-from .numerics import FrequencyGrid, _check_count, _check_positive
-from .pdc import PdcParams, PhotonSpectrum, squeeze_profile
+from .numerics import C_CM_PER_FS, FrequencyGrid, _check_count, _check_positive
+from .pdc import PdcParams, PhotonSpectrum
 
 LOG_FLOOR = 1e-12
 
@@ -113,11 +116,26 @@ def fit_objective(params: PdcParams, problem: FitProblem) -> float:
     """Mean squared log-residual between the source spectrum and the target.
 
     The source is sinh(r)^2, as mean_photon_number computes it, on the
-    window points the problem keeps.
+    window points the problem keeps. It runs in place on the call's own
+    arrays, in the IEEE operations of squeeze_profile, numerics.sinc and
+    np.mean, so it equals the spectrum form to the bit.
     """
-    produced = np.sinh(squeeze_profile(problem.points, params)) ** 2
-    residual = np.log(produced + LOG_FLOOR) - problem.log_target
-    return float(np.mean(residual**2))
+    phase = np.subtract(problem.points, params.signal_center)
+    phase *= np.pi * C_CM_PER_FS
+    phase *= params.entanglement_time
+    # sinc as numerics.sinc forms it: an exact zero keeps the 1.0 limit, and
+    # no 0/0 is formed.
+    residual = np.ones_like(phase)
+    np.divide(np.sin(phase), phase, out=residual, where=phase != 0)
+    residual *= params.gain
+    np.sinh(residual, out=residual)
+    np.square(residual, out=residual)
+    residual += LOG_FLOOR
+    np.log(residual, out=residual)
+    residual -= problem.log_target
+    np.square(residual, out=residual)
+    # np.mean's sum, then its division by the count.
+    return float(np.add.reduce(residual)) / residual.size
 
 
 def _check_settings(max_iters: int, tol: float) -> None:
@@ -134,6 +152,36 @@ def _check_settings(max_iters: int, tol: float) -> None:
         raise FieldError(f"{name}: {rule}") from None
 
 
+def _project(x: float) -> float:
+    """x clipped into [0, 1] as np.clip clips it; -0.0 becomes 0.0."""
+    return min(max(0.0, x), 1.0)
+
+
+def _centroid(points: list[tuple[float, ...]]) -> tuple[float, ...]:
+    """np.mean over the points: coordinates summed in point order, then divided by the count."""
+    total = points[0]
+    for point in points[1:]:
+        total = [a + b for a, b in zip(total, point)]
+    return tuple(a / len(points) for a in total)
+
+
+def _diameter_below(points: list[tuple[float, ...]], tol: float) -> bool:
+    """True when every pairwise distance is below tol.
+
+    Each distance sums its squares in coordinate order, as np.linalg.norm
+    does over a vector this short, so the result is the one "max norm < tol"
+    gives; the search stops at the first pair at or above tol.
+    """
+    for index, a in enumerate(points):
+        for b in points[index + 1 :]:
+            total = 0.0
+            for x, y in zip(a, b):
+                total += (x - y) * (x - y)
+            if not math.sqrt(total) < tol:
+                return False
+    return True
+
+
 def fit_pdc_to_thermal(problem: FitProblem, max_iters: int = 500, tol: float = 1e-8) -> FitResult:
     """Minimize fit_objective over the free parameters with a projected simplex search.
 
@@ -143,65 +191,76 @@ def fit_pdc_to_thermal(problem: FitProblem, max_iters: int = 500, tol: float = 1
     FitDivergedError carrying the offending parameters.
     """
     _check_settings(max_iters, tol)
-    names = [name for name in PARAM_ORDER if name in problem.free_params]
-    lo, hi = np.array([problem.bounds[name] for name in names]).T
-    span = hi - lo
+    free = [index for index, name in enumerate(PARAM_ORDER) if name in problem.free_params]
+    lo = [float(problem.bounds[PARAM_ORDER[index]][0]) for index in free]
+    span = [float(problem.bounds[PARAM_ORDER[index]][1]) - low for index, low in zip(free, lo)]
+    start = [getattr(problem.initial, name) for name in PARAM_ORDER]
 
-    def to_params(u: np.ndarray) -> PdcParams:
-        values = lo + np.clip(u, 0.0, 1.0) * span
-        return dataclasses.replace(problem.initial, **dict(zip(names, values.tolist())))
+    def to_params(u: tuple[float, ...]) -> PdcParams:
+        values = start.copy()
+        for index, low, width, x in zip(free, lo, span, u):
+            values[index] = low + x * width
+        return PdcParams(*values)
 
-    def evaluate(u: np.ndarray) -> float:
+    def evaluate(u: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
         candidate = to_params(u)
         value = fit_objective(candidate, problem)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise FitDivergedError(f"fit objective is non-finite at {candidate}", params=candidate)
-        return value
+        return value, u
 
-    u0 = (np.array([getattr(problem.initial, name) for name in names]) - lo) / span
-    steps = np.where(u0 + _INITIAL_STEP <= 1.0, _INITIAL_STEP, -_INITIAL_STEP)
-    simplex = np.clip(np.vstack([u0, u0 + np.diag(steps)]), 0.0, 1.0)
-    values = np.array([evaluate(v) for v in simplex])
+    u0 = [(float(start[index]) - low) / width for index, low, width in zip(free, lo, span)]
+    simplex = [u0]
+    for k, x in enumerate(u0):
+        vertex = u0.copy()
+        vertex[k] = x + _INITIAL_STEP if x + _INITIAL_STEP <= 1.0 else x - _INITIAL_STEP
+        simplex.append(vertex)
+    # Each vertex is a (value, point) pair, so sorting ranks by value and breaks
+    # ties lexicographically on the point.
+    vertices = [evaluate(tuple(map(_project, u))) for u in simplex]
     trace = []
     iterations = 0
     while True:
-        # Best first; ties in value go to the lexicographically smaller vertex.
-        rank = np.lexsort((*simplex.T[::-1], values))
-        simplex, values = simplex[rank], values[rank]
-        trace.append(float(values[0]))
-        converged = bool(np.max(np.linalg.norm(simplex[:, None] - simplex, axis=-1)) < tol)
+        vertices.sort()
+        best_value, best = vertices[0]
+        trace.append(best_value)
+        converged = _diameter_below([u for _, u in vertices], tol)
         if converged or iterations == max_iters:
             break
         iterations += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
+        centroid = _centroid([u for _, u in vertices[:-1]])
+        f_worst, worst = vertices[-1]
 
-        reflected = np.clip(centroid + _REFLECT * (centroid - worst), 0.0, 1.0)
-        f_reflected = evaluate(reflected)
-        if f_reflected < values[0]:
-            expanded = np.clip(centroid + _EXPAND * (centroid - worst), 0.0, 1.0)
-            f_expanded = evaluate(expanded)
+        reflected = tuple(_project(c + _REFLECT * (c - w)) for c, w in zip(centroid, worst))
+        f_reflected, _ = evaluate(reflected)
+        if f_reflected < best_value:
+            expanded = tuple(_project(c + _EXPAND * (c - w)) for c, w in zip(centroid, worst))
             # The better of the two; on a tie in value, the lexicographically smaller.
-            values[-1], simplex[-1] = min(
-                (f_reflected, tuple(reflected)), (f_expanded, tuple(expanded))
-            )
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
+            vertices[-1] = min((f_reflected, reflected), evaluate(expanded))
+        elif f_reflected < vertices[-2][0]:
+            vertices[-1] = (f_reflected, reflected)
         else:
-            if f_reflected < values[-1]:
-                contracted = np.clip(centroid + _CONTRACT * (reflected - centroid), 0.0, 1.0)
+            if f_reflected < f_worst:
+                contracted = tuple(
+                    _project(c + _CONTRACT * (r - c)) for c, r in zip(centroid, reflected)
+                )
             else:
-                contracted = np.clip(centroid - _CONTRACT * (centroid - worst), 0.0, 1.0)
-            f_contracted = evaluate(contracted)
-            if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
+                contracted = tuple(
+                    _project(c - _CONTRACT * (c - w)) for c, w in zip(centroid, worst)
+                )
+            f_contracted, _ = evaluate(contracted)
+            if f_contracted < min(f_reflected, f_worst):
+                vertices[-1] = (f_contracted, contracted)
             else:
-                simplex[1:] = np.clip(simplex[0] + _SHRINK * (simplex[1:] - simplex[0]), 0.0, 1.0)
-                values[1:] = [evaluate(v) for v in simplex[1:]]
+                shrunk = [
+                    tuple(_project(b + _SHRINK * (x - b)) for b, x in zip(best, u))
+                    for _, u in vertices[1:]
+                ]
+                vertices[1:] = [evaluate(u) for u in shrunk]
 
     return FitResult(
-        params=to_params(simplex[0]),
-        objective_value=trace[-1],
+        params=to_params(best),
+        objective_value=best_value,
         iterations=iterations,
         converged=converged,
         trace=tuple(trace),

@@ -178,7 +178,8 @@ def heralded_field(
     """Effective field seen by the molecule when the idler fires at herald_time.
 
     Both methods depend on time only through t - herald_time, so shifting the
-    herald shifts the whole profile.
+    herald shifts the whole profile. Only exact_quadrature takes a grid; a grid
+    given with rect_approx raises ValidationError.
     """
     if not isfinite(herald_time):
         raise ValidationError(f"heralded_field: herald_time must be finite, got {herald_time}")
@@ -196,6 +197,20 @@ def field_span(times: TimeGrid, first: float, last: float) -> float:
     that grid at the span the computation will use.
     """
     return max(times.max - first, last - times.min)
+
+
+def _field_grid(
+    params: PdcParams, grid: FrequencyGrid | None, method: FieldMethod, time_span: float
+) -> FrequencyGrid | None:
+    """The frequency grid of the field method: none for rect_approx, and for
+    exact_quadrature the grid given or else the default one at time_span."""
+    if method is FieldMethod.RECT_APPROX:
+        if grid is not None:
+            raise ValidationError("only method exact_quadrature uses a field grid")
+        return None
+    if method is not FieldMethod.EXACT_QUADRATURE:
+        raise ValidationError(f"unknown field method {method!r}")
+    return default_field_grid(params, time_span=time_span) if grid is None else grid
 
 
 def _field_source(
@@ -218,13 +233,10 @@ def _field_source(
     (numpy 2.4.6, glibc 2.36), as the allocator handed each freed buffer back
     and faulted it in again.
     """
+    grid = _field_grid(params, grid, method, field_span(times, first, last))
     if method is FieldMethod.RECT_APPROX:
         points = times.points
         return lambda herald_time: _rect_field(points - herald_time, params)
-    if method is not FieldMethod.EXACT_QUADRATURE:
-        raise ValidationError(f"unknown field method {method!r}")
-    if grid is None:
-        grid = default_field_grid(params, time_span=field_span(times, first, last))
     phases = _phase_tables(grid)
     coarse, fine = phases(0.0)  # for the sizes of the tables
     profile = np.zeros((coarse.size, fine.size))
@@ -399,7 +411,9 @@ def average_over_heralds(
     unheralded trajectory as the heralds grow many. With 192 exact heralds
     and both scaled to their largest population, the populations differ
     from evolve_unconditional's by at most 1.4e-3 on 0-60 fs and 0.25 on
-    20-80 fs.
+    20-80 fs. grid is the exact field's frequency grid, None for the default
+    one; rect_approx takes none, and a grid given with it raises
+    ValidationError.
 
     - Exact fields at J >= 3 uniform heralds, while L times the resonant
       bins is at most J: the mean over the herald comb in closed form (see
@@ -414,8 +428,7 @@ def average_over_heralds(
     _check_times(times, "average_over_heralds")
     try:
         lo, hi = herald_window(params, times, herald_samples, pad, sampling)
-        if grid is None and method is FieldMethod.EXACT_QUADRATURE:
-            grid = default_field_grid(params, time_span=field_span(times, lo, hi))
+        grid = _field_grid(params, grid, method, field_span(times, lo, hi))
     except ValidationError as exc:
         raise ValidationError(f"average_over_heralds: {exc}") from None
     if method is FieldMethod.EXACT_QUADRATURE and sampling == "uniform" and herald_samples > 2:

@@ -12,8 +12,9 @@ package's blocked sums must match bit for bit. The herald phase exp(i w_n s)
 is evaluated in extended precision, and the heralded rank-one builder is
 kept in its allocate-per-field form, as the reference the package's builder
 must match bit for bit. The fit's simplex search is kept with its vertices
-as a list of arrays, sorted as tuples, as the reference the package's
-one-array simplex must match result for result.
+as a list of numpy arrays, sorted as tuples, as the reference the package's
+search over tuples of Python floats must match candidate for candidate and
+result for result.
 """
 
 from __future__ import annotations
@@ -296,11 +297,14 @@ def relative_frobenius(got: np.ndarray, want: np.ndarray) -> float:
     return worst
 
 
-def fit_by_vertex_list(problem: FitProblem, max_iters: int, tol: float) -> FitResult:
+def fit_by_vertex_list(
+    problem: FitProblem, max_iters: int, tol: float
+) -> tuple[FitResult, list[PdcParams]]:
     """The projected simplex search with its vertices as a list of arrays.
 
     Each step sorts (value, vertex tuple, vertex) triples and takes the
     diameter as the largest norm over the vertex pairs, one pair at a time.
+    Returns the result and every candidate evaluated, in order.
     """
     names = [name for name in PARAM_ORDER if name in problem.free_params]
     lo = np.array([problem.bounds[name][0] for name in names])
@@ -311,8 +315,11 @@ def fit_by_vertex_list(problem: FitProblem, max_iters: int, tol: float) -> FitRe
         values = {name: float(v) for name, v in zip(names, lo + np.clip(u, 0.0, 1.0) * span)}
         return dataclasses.replace(problem.initial, **values)
 
+    candidates = []
+
     def evaluate(u):
-        value = fit_objective(to_params(u), problem)
+        candidates.append(to_params(u))
+        value = fit_objective(candidates[-1], problem)
         assert np.isfinite(value)
         return value
 
@@ -370,10 +377,11 @@ def fit_by_vertex_list(problem: FitProblem, max_iters: int, tol: float) -> FitRe
         simplex, values = order()
         trace.append(values[0])
         converged = diameter() < tol
-    return FitResult(
+    result = FitResult(
         params=to_params(simplex[0]),
         objective_value=values[0],
         iterations=iterations,
         converged=converged,
         trace=tuple(trace),
     )
+    return result, candidates

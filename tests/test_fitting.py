@@ -12,6 +12,8 @@ from oracles import fit_by_vertex_list
 
 WINDOW = ps.FrequencyGrid(14000.0, 22000.0, 401)
 LOCK_WINDOW = ps.FrequencyGrid(15000.0, 20000.0, 501)
+#: Holds signal_center (12000.0) exactly, so the squeeze profile's sinc takes its zero branch.
+CENTER_WINDOW = ps.FrequencyGrid(11000.0, 13000.0, 201)
 
 
 def synthetic_problem(free, initial_overrides, bounds):
@@ -52,26 +54,29 @@ class TestObjective:
         assert value == pytest.approx(FIG1_OBJECTIVE_BASELINE, rel=1e-9)
         assert value > 0.0
 
+    @pytest.mark.parametrize("window", [LOCK_WINDOW, CENTER_WINDOW], ids=["lock", "center"])
     @pytest.mark.parametrize("gain", [0.05, 0.15, 0.4])
     @pytest.mark.parametrize("entanglement_time", [1.0, 2.5, 8.0])
-    def test_kept_arrays_give_the_spectrum_form_bit_for_bit(self, gain, entanglement_time):
+    def test_kept_arrays_give_the_spectrum_form_bit_for_bit(self, window, gain, entanglement_time):
         # The window points and the target's logs are computed once per problem;
         # the objective equals the one built from mean_photon_number and the
-        # target's values at every call.
+        # target's values at every call. At the center window's 12000.0 the phase
+        # is exactly 0: no 0/0 may be formed there, and nothing overflows.
         problem = ps.FitProblem(
-            window=LOCK_WINDOW,
-            target=ps.thermal_mean(LOCK_WINDOW, SOLAR),
+            window=window,
+            target=ps.thermal_mean(window, SOLAR),
             free_params=("gain",),
             initial=REF_PDC,
             bounds={"gain": (0.01, 0.5)},
         )
         params = dataclasses.replace(REF_PDC, gain=gain, entanglement_time=entanglement_time)
-        produced = ps.mean_photon_number(LOCK_WINDOW, params).values
-        target = problem.target.values
-        residual = np.log(produced + fitting.LOG_FLOOR) - np.log(target + fitting.LOG_FLOOR)
-        want = float(np.mean(residual**2))
-        assert ps.fit_objective(params, problem) == want
-        assert ps.fit_objective(params, problem) == want
+        with np.errstate(over="raise", invalid="raise"):
+            produced = ps.mean_photon_number(window, params).values
+            target = problem.target.values
+            residual = np.log(produced + fitting.LOG_FLOOR) - np.log(target + fitting.LOG_FLOOR)
+            want = float(np.mean(residual**2))
+            assert ps.fit_objective(params, problem) == want
+            assert ps.fit_objective(params, problem) == want
         assert not (problem.points.flags.writeable or problem.log_target.flags.writeable)
 
 
@@ -178,16 +183,8 @@ class TestOptimizerContract:
         assert first == second
 
     def test_every_candidate_projected_into_bounds(self, monkeypatch):
-        seen = []
-        original = fitting.fit_objective
-
-        def spy(params, problem):
-            seen.append(params)
-            return original(params, problem)
-
-        monkeypatch.setattr(fitting, "fit_objective", spy)
         problem = synthetic_problem(("gain",), {"gain": 0.49}, {"gain": (0.01, 0.5)})
-        ps.fit_pdc_to_thermal(problem, max_iters=100, tol=1e-9)
+        _, seen = fit_with_candidates(monkeypatch, problem, 100, 1e-9)
         assert seen
         assert all(0.01 <= p.gain <= 0.5 for p in seen)
 
@@ -215,28 +212,55 @@ ALL_BOUNDS = {
 }
 
 
+def fit_with_candidates(monkeypatch, problem, max_iters, tol):
+    """fit_pdc_to_thermal's result and the candidates it evaluated, in order."""
+    seen = []
+    original = fitting.fit_objective
+
+    def spy(params, problem):
+        seen.append(params)
+        return original(params, problem)
+
+    monkeypatch.setattr(fitting, "fit_objective", spy)
+    return ps.fit_pdc_to_thermal(problem, max_iters, tol), seen
+
+
 class TestAgainstVertexList:
-    """The one-array simplex returns the vertex-list search's FitResult, field for field."""
+    """The search returns the vertex-list search's FitResult, field for field,
+    after evaluating the same candidates in the same order."""
 
     @pytest.mark.parametrize(
-        "free, start, bounds, max_iters, tol",
+        "window, free, start, bounds, max_iters, tol",
         [
-            (("gain",), {"gain": 0.08}, {"gain": (0.01, 0.5)}, 300, 1e-10),
+            (WINDOW, ("gain",), {"gain": 0.08}, {"gain": (0.01, 0.5)}, 300, 1e-10),
             # The start is the upper bound, so the first step goes down.
-            (("gain",), {"gain": 0.5}, {"gain": (0.01, 0.5)}, 300, 1e-10),
+            (WINDOW, ("gain",), {"gain": 0.5}, {"gain": (0.01, 0.5)}, 300, 1e-10),
             (
+                WINDOW,
                 ("entanglement_time", "gain"),
                 {"entanglement_time": 2.0, "gain": 0.10},
                 {"entanglement_time": (0.5, 8.0), "gain": (0.01, 0.5)},
                 500,
                 1e-10,
             ),
-            (tuple(fitting.PARAM_ORDER), {}, ALL_BOUNDS, 500, 1e-8),
+            # signal_center stays at 12000.0, a window point: every candidate's
+            # objective takes the sinc's zero branch.
+            (
+                CENTER_WINDOW,
+                ("entanglement_time", "gain"),
+                {},
+                {"entanglement_time": (0.5, 8.0), "gain": (0.01, 0.5)},
+                500,
+                1e-10,
+            ),
+            # The pair-by-pair diameter test ends the search at 86, 124 and 187 iterations.
+            (BROAD_WINDOW, tuple(fitting.PARAM_ORDER), {}, ALL_BOUNDS, 500, 1e-2),
+            (BROAD_WINDOW, tuple(fitting.PARAM_ORDER), {}, ALL_BOUNDS, 500, 1e-4),
+            (BROAD_WINDOW, tuple(fitting.PARAM_ORDER), {}, ALL_BOUNDS, 500, 1e-8),
         ],
-        ids=["one", "start-at-bound", "two", "four"],
+        ids=["one", "start-at-bound", "two", "center", "four-1e-2", "four-1e-4", "four"],
     )
-    def test_converged_fits(self, free, start, bounds, max_iters, tol):
-        window = BROAD_WINDOW if len(free) == 4 else WINDOW
+    def test_converged_fits(self, monkeypatch, window, free, start, bounds, max_iters, tol):
         problem = ps.FitProblem(
             window=window,
             target=ps.thermal_mean(window, SOLAR),
@@ -244,9 +268,9 @@ class TestAgainstVertexList:
             initial=dataclasses.replace(REF_PDC, **start),
             bounds=bounds,
         )
-        result = ps.fit_pdc_to_thermal(problem, max_iters, tol)
+        result, seen = fit_with_candidates(monkeypatch, problem, max_iters, tol)
         assert result.converged
-        assert result == fit_by_vertex_list(problem, max_iters, tol)
+        assert (result, seen) == fit_by_vertex_list(problem, max_iters, tol)
 
     def test_projected_and_shrunk(self, monkeypatch):
         # The optimum (2.5 fs, 0.15) lies outside the box, beyond the corner the
@@ -257,21 +281,13 @@ class TestAgainstVertexList:
             {"entanglement_time": 3.0, "gain": 0.2},
             {"entanglement_time": (3.0, 8.0), "gain": (0.2, 0.5)},
         )
-        seen = []
-        original = fitting.fit_objective
-
-        def spy(params, problem):
-            seen.append(params)
-            return original(params, problem)
-
-        monkeypatch.setattr(fitting, "fit_objective", spy)
-        result = ps.fit_pdc_to_thermal(problem, 500, 1e-10)
+        result, seen = fit_with_candidates(monkeypatch, problem, 500, 1e-10)
         # Without a shrink a step evaluates at most two candidates.
         assert len(seen) > 3 + 2 * result.iterations
         assert sum(p.gain == 0.2 for p in seen[3:]) > 0
-        assert result == fit_by_vertex_list(problem, 500, 1e-10)
+        assert (result, seen) == fit_by_vertex_list(problem, 500, 1e-10)
 
-    def test_out_of_iterations(self):
+    def test_out_of_iterations(self, monkeypatch):
         problem = ps.FitProblem(
             window=WINDOW,
             target=ps.thermal_mean(WINDOW, SOLAR),
@@ -279,6 +295,6 @@ class TestAgainstVertexList:
             initial=REF_PDC,
             bounds={"entanglement_time": (0.5, 8.0), "gain": (0.01, 0.5)},
         )
-        result = ps.fit_pdc_to_thermal(problem, 7, 1e-12)
+        result, seen = fit_with_candidates(monkeypatch, problem, 7, 1e-12)
         assert not result.converged and result.iterations == 7
-        assert result == fit_by_vertex_list(problem, 7, 1e-12)
+        assert (result, seen) == fit_by_vertex_list(problem, 7, 1e-12)
